@@ -21,7 +21,7 @@ import sys
 import time
 
 from . import graph_io
-from .errors import CertificateError, OracleSizeError, ParseError
+from .errors import CertificateError, GraphError, OracleSizeError, ParseError
 from .graph import WeightedGraph
 from .local_search import ils_run
 from .oracle import brute_force_mwis
@@ -252,7 +252,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, OracleSizeError, CertificateError, OSError) as exc:
+    except (ParseError, GraphError, OracleSizeError, CertificateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,7 +10,8 @@ Conventions:
 
 * vertices are dense integer ids; folded vertices get fresh ids appended past
   the original range, dead ids are never reused,
-* weights are positive integers,
+* weights are positive integers; the local search and the oracle sum them
+  in int64 and refuse graphs past ``MAX_TOTAL_WEIGHT`` (2**63 - 1),
 * neighbor lists are kept sorted and never contain dead vertices, so
   subset/merge tests over neighborhoods are linear scans.
 """
@@ -27,6 +28,18 @@ from .errors import GraphError
 _REMOVE = 0  # (_REMOVE, v, saved_neighbor_tuple)
 _NEW = 1     # (_NEW, v)
 _WEIGHT = 2  # (_WEIGHT, v, old_weight)
+
+MAX_TOTAL_WEIGHT = (1 << 63) - 1
+
+
+def check_total_weight(weights: list[int]) -> None:
+    """Raise :class:`GraphError` unless ``weights`` sum to at most
+    ``MAX_TOTAL_WEIGHT``, so every int64 sum over them is exact."""
+    total = sum(weights)
+    if total > MAX_TOTAL_WEIGHT:
+        raise GraphError(
+            f"total vertex weight {total} exceeds 2**63 - 1, the int64 limit "
+            "of the local search and the oracle")
 
 
 class WeightedGraph:
@@ -98,9 +111,6 @@ class WeightedGraph:
         for v in range(len(self._w)):
             if self._alive[v]:
                 yield v
-
-    def total_weight(self) -> int:
-        return sum(self._w[v] for v in self.alive_vertices())
 
     def _require_alive(self, v: int) -> None:
         if not (0 <= v < len(self._w)):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _ls_core as core
-from .graph import WeightedGraph
+from .graph import WeightedGraph, check_total_weight
 from .solution import Solution
 
 _CHUNK_ROUNDS = 32
@@ -41,8 +41,9 @@ def _csr_of(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, l
     for v in verts:
         i = index[v]
         adj[xadj[i]:xadj[i + 1]] = [index[u] for u in graph.neighbors(v)]
-    w = np.array([graph.weight(v) for v in verts], dtype=np.int64)
-    return xadj, adj, w, verts
+    weights = [graph.weight(v) for v in verts]
+    check_total_weight(weights)
+    return xadj, adj, np.array(weights, dtype=np.int64), verts
 
 
 class LsState:
@@ -50,10 +51,11 @@ class LsState:
 
     Vertex arguments and reported solutions use the graph's vertex ids; the
     snapshot is taken at construction, later graph edits are not seen.
+    Raises :class:`GraphError` when the alive weights sum past
+    ``MAX_TOTAL_WEIGHT``.
     """
 
     def __init__(self, graph: WeightedGraph, seed: int = 0):
-        self.graph = graph
         self.xadj, self.adj, self.w, self.verts = _csr_of(graph)
         n = len(self.verts)
         self._index = {v: i for i, v in enumerate(self.verts)}

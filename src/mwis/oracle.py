@@ -21,7 +21,7 @@ import numpy as np
 
 from ._accel import BACKEND, maybe_njit
 from .errors import OracleSizeError
-from .graph import WeightedGraph
+from .graph import WeightedGraph, check_total_weight
 from .solution import Solution
 
 MAX_ORACLE_VERTICES = 24
@@ -117,19 +117,19 @@ def mwis_weight_and_mask(adj_masks: np.ndarray, weights: np.ndarray) -> tuple[in
 
 
 def _masks_of(graph: WeightedGraph, vertices: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    weights = [graph.weight(v) for v in vertices]
+    check_total_weight(weights)
     index = {v: i for i, v in enumerate(vertices)}
     adj = np.zeros(len(vertices), dtype=np.int64)
-    w = np.empty(len(vertices), dtype=np.int64)
     for v in vertices:
         i = index[v]
-        w[i] = graph.weight(v)
         m = 0
         for u in graph.neighbors(v):
             j = index.get(u)
             if j is not None:
                 m |= 1 << j
         adj[i] = m
-    return adj, w
+    return adj, np.array(weights, dtype=np.int64)
 
 
 def brute_force_mwis(graph: WeightedGraph) -> Solution:

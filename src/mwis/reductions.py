@@ -53,6 +53,7 @@ LOCAL_RULES = (
     "neighbor_removal_meta",
 )
 CRITICAL_RULE = "critical_set"
+MAX_META_SIZE = 16  # size cap of the neighborhood fold and the local subsolve
 
 
 @dataclass(frozen=True)
@@ -80,13 +81,11 @@ class FoldRecord:
     guard: tuple[int, ...] = ()
 
 
-def lift_solution(kernel_vertices: Iterable[int], stack: Sequence[FoldRecord],
-                  forced_in: Iterable[int] = ()) -> set[int]:
+def lift_solution(kernel_vertices: Iterable[int],
+                  stack: Sequence[FoldRecord]) -> set[int]:
     """Map an independent set of the kernel back to the original graph.
 
-    ``stack`` is replayed last-record-first.  ``forced_in`` vertices are
-    added at the end; they are only needed by callers that track decided
-    vertices outside the record stack.
+    ``stack`` is replayed last-record-first.
     """
     chosen = set(kernel_vertices)
     for rec in reversed(stack):
@@ -101,7 +100,6 @@ def lift_solution(kernel_vertices: Iterable[int], stack: Sequence[FoldRecord],
                 chosen.update(rec.forced)
         else:
             chosen.update(rec.forced)
-    chosen.update(forced_in)
     return chosen
 
 
@@ -112,7 +110,6 @@ class KernelResult:
     kernel: WeightedGraph
     offset: int
     stack: tuple[FoldRecord, ...]
-    forced_in: tuple[int, ...]
 
     def lift(self, kernel_vertices: Iterable[int]) -> set[int]:
         """Lift a kernel independent set; validates it first."""
@@ -131,15 +128,13 @@ class ReductionEngine:
     """
 
     def __init__(self, graph: WeightedGraph, variant: str = "full",
-                 max_meta_size: int = 16, mode: str = "queue",
-                 stats: Counter | None = None):
+                 mode: str = "queue", stats: Counter | None = None):
         if variant not in ("full", "dense"):
             raise ValueError(f"unknown variant {variant!r}")
         if mode not in ("queue", "scan"):
             raise ValueError(f"unknown reduction mode {mode!r}")
         self.g = graph
         self.variant = variant
-        self.max_meta_size = max_meta_size
         self.mode = mode
         self.records: list[FoldRecord] = []
         self.offset = 0
@@ -257,6 +252,8 @@ class ReductionEngine:
                 if v not in members:
                     members.add(v)
                     heapq.heappush(heap, v)
+        # Looked up on every drain, not cached: a wrapper installed on the
+        # class (tracing counts rule calls this way) must take effect.
         apply_at = getattr(self, "_try_" + rule)
         changed = False
         ticks = 0
@@ -314,11 +311,9 @@ class ReductionEngine:
     # ------------------------------------------------------------------
     # The rules.  ``_try_<rule>(v)`` performs at most one application and
     # reports whether the graph changed; the spec-shaped pair operations
-    # are public for direct use in tests.
+    # are public for direct use in tests.  A one-vertex rule is its own
+    # ``_try_`` entry through a class alias, which tracing can wrap alone.
     # ------------------------------------------------------------------
-
-    def _try_neighborhood_removal(self, v: int) -> bool:
-        return self.neighborhood_removal(v)
 
     def neighborhood_removal(self, v: int) -> bool:
         """Force ``v`` in when it outweighs its whole neighborhood."""
@@ -327,6 +322,8 @@ class ReductionEngine:
             self.include_vertex(v, rule="neighborhood_removal")
             return True
         return False
+
+    _try_neighborhood_removal = neighborhood_removal
 
     def _try_weighted_domination(self, v: int) -> bool:
         g = self.g
@@ -366,9 +363,6 @@ class ReductionEngine:
         self.remove_vertex(u)
         return True
 
-    def _try_weighted_vertex_folding(self, v: int) -> bool:
-        return self.weighted_vertex_folding(v)
-
     def weighted_vertex_folding(self, v: int) -> bool:
         """Fold a degree-2 vertex with non-adjacent neighbors."""
         g = self.g
@@ -387,8 +381,7 @@ class ReductionEngine:
             introduced=vid, fold_in=(u, x), fold_out=(v,)))
         return True
 
-    def _try_isolated_vertex_removal(self, v: int) -> bool:
-        return self.isolated_vertex_removal(v)
+    _try_weighted_vertex_folding = weighted_vertex_folding
 
     def isolated_vertex_removal(self, v: int) -> bool:
         """Force in a simplicial vertex that is heaviest in its clique."""
@@ -404,8 +397,7 @@ class ReductionEngine:
         self.include_vertex(v, rule="isolated_vertex_removal")
         return True
 
-    def _try_isolated_weight_transfer(self, v: int) -> bool:
-        return self.isolated_weight_transfer(v)
+    _try_isolated_vertex_removal = isolated_vertex_removal
 
     def isolated_weight_transfer(self, v: int) -> bool:
         """Remove a simplicial vertex, pushing its weight onto heavier mates.
@@ -438,6 +430,8 @@ class ReductionEngine:
         for x in keep:
             self.set_weight(x, g.weight(x) - wv)
         return True
+
+    _try_isolated_weight_transfer = isolated_weight_transfer
 
     def _try_weighted_twin(self, v: int) -> bool:
         g = self.g
@@ -482,15 +476,12 @@ class ReductionEngine:
             return True
         return False
 
-    def _try_neighborhood_folding(self, v: int) -> bool:
-        return self.neighborhood_folding(v)
-
     def neighborhood_folding(self, v: int) -> bool:
         """Fold ``v`` with its independent neighborhood when only the full
         neighborhood can beat ``v``."""
         g = self.g
         nbrs = list(g.neighbors(v))
-        if not nbrs or len(nbrs) > self.max_meta_size:
+        if not nbrs or len(nbrs) > MAX_META_SIZE:
             return False
         wv = g.weight(v)
         w_nb = sum(g.weight(u) for u in nbrs)
@@ -505,6 +496,8 @@ class ReductionEngine:
             rule="neighborhood_folding", consumed=group, offset=wv,
             introduced=vid, fold_in=tuple(nbrs), fold_out=(v,)))
         return True
+
+    _try_neighborhood_folding = neighborhood_folding
 
     def _try_neighbor_removal_meta(self, v: int) -> bool:
         g = self.g
@@ -523,13 +516,13 @@ class ReductionEngine:
         """Remove the neighbor ``u`` of ``v`` when the best set inside
         ``N(v) - N[u]`` plus ``u`` still cannot beat ``v``.  The local
         subproblem is solved exactly, so its size is capped at
-        ``max_meta_size``."""
+        ``MAX_META_SIZE``."""
         g = self.g
         if not g.has_edge(u, v):
             return False
         nu = set(g.neighbors(u))
         local = [x for x in g.neighbors(v) if x != u and x not in nu]
-        if len(local) > self.max_meta_size:
+        if len(local) > MAX_META_SIZE:
             return False
         if subgraph_mwis_weight(g, local) + g.weight(u) > g.weight(v):
             return False
@@ -558,20 +551,13 @@ class ReductionEngine:
         return True
 
 
-def reduce_to_kernel(graph: WeightedGraph, variant: str = "full",
-                     max_meta_size: int = 16, mode: str = "queue") -> KernelResult:
+def reduce_to_kernel(graph: WeightedGraph, variant: str = "full") -> KernelResult:
     """Reduce ``graph`` in place to its kernel.
 
     Returns the kernel view together with the accumulated weight offset and
-    the lifting stack.  ``forced_in`` is the baseline solution obtained by
-    lifting the empty kernel set; for an empty kernel it is the full optimum.
+    the lifting stack.
     """
-    engine = ReductionEngine(graph, variant=variant, max_meta_size=max_meta_size, mode=mode)
+    engine = ReductionEngine(graph, variant=variant)
     engine.reduce(initial=True)
-    stack = tuple(engine.records)
-    return KernelResult(
-        kernel=graph,
-        offset=engine.offset,
-        stack=stack,
-        forced_in=tuple(sorted(lift_solution((), stack))),
-    )
+    return KernelResult(kernel=graph, offset=engine.offset,
+                        stack=tuple(engine.records))

@@ -2,7 +2,9 @@
 
 Each search node reduces the graph to a fixpoint through the incremental
 reduction engine, computes a one-off local-search lower bound per
-subproblem, prunes against a weighted clique cover upper bound, splits
+subproblem (``_LS_ITERATIONS`` rounds at most, none below ``_LS_MIN_SIZE``
+vertices, wall-capped at ``_LS_FRACTION`` of a time limit), prunes against a
+weighted clique cover upper bound, splits
 connected components into independent subproblems, and otherwise branches
 on the vertex of maximum degree (including it first).  Backtracking rolls
 the shared graph back via the edit log instead of copying.
@@ -28,33 +30,30 @@ from .reductions import ReductionEngine, lift_solution
 from .solution import Solution, verify_independent_set, verify_solution
 
 _TIMEOUT_CHECK_MASK = 255  # deadline looked at every 256 nodes
+_LS_ITERATIONS = 600  # ILS round budget per subproblem (capped at 10n + 50)
+_LS_FRACTION = 0.05   # share of the time limit one ILS run may take, at most 10 s
+_LS_MIN_SIZE = 12     # subproblems smaller than this get no ILS bound
 
 
 @dataclass
 class SolverConfig:
-    """Knobs of the branch-and-reduce search.
+    """Settings of the branch-and-reduce search.
 
     ``variant`` selects the reduction portfolio: ``full`` runs everything
     including the global critical-set rule; ``dense`` drops the critical-set
     rule entirely and, outside the initial kernelization, restricts the
     clique rules to triangles and disables the folding/subsolve meta rules.
 
-    The local-search lower bound runs once per subproblem with a
-    deterministic round budget (``ls_iterations``); when a time limit is set
-    it is additionally wall-capped at ``ls_fraction`` of the limit, at most
+    The local-search lower bound runs once per subproblem of at least
+    ``_LS_MIN_SIZE`` vertices with a deterministic round budget
+    (``_LS_ITERATIONS``) seeded from ``seed``; when ``time_limit`` is set it
+    is additionally wall-capped at ``_LS_FRACTION`` of the limit, at most
     10 seconds.
     """
 
     variant: str = "full"
     time_limit: float | None = None
     seed: int = 0
-    ls_fraction: float = 0.05
-    max_meta_size: int = 16
-    ls_iterations: int = 600
-    ls_min_size: int = 12
-    use_pruning: bool = True
-    explore_include_first: bool = True
-    reduction_mode: str = "queue"
 
 
 @dataclass
@@ -189,7 +188,7 @@ class _Machine:
                 self._enter_node(fr, stack)
             elif fr.stage == 1:
                 fr.ctx.engine.rollback(fr.ckpt1)
-                self._apply_branch(fr, include=not self.config.explore_include_first)
+                self._apply_branch(fr, include=False)
                 fr.stage = 2
                 stack.append(_NodeFrame(fr.ctx))
             else:
@@ -225,8 +224,7 @@ class _Machine:
             eng.rollback(fr.ckpt0)
             stack.pop()
             return
-        if self.config.use_pruning and \
-                eng.offset + clique_cover_bound(g) <= ctx.best_w:
+        if eng.offset + clique_cover_bound(g) <= ctx.best_w:
             self.stats.prunes += 1
             eng.rollback(fr.ckpt0)
             stack.pop()
@@ -238,15 +236,13 @@ class _Machine:
                 sub, mapping = g.induced_subgraph(comp)
                 child_engine = ReductionEngine(
                     sub, variant=self.config.variant,
-                    max_meta_size=self.config.max_meta_size,
-                    mode=self.config.reduction_mode,
                     stats=self.stats.rule_applications)
                 children.append((self._new_ctx(child_engine), mapping))
             stack[-1] = _CompFrame(ctx, fr.ckpt0, children)
             return
         fr.branch_v = select_branch_vertex(g)
         fr.ckpt1 = eng.checkpoint()
-        self._apply_branch(fr, include=self.config.explore_include_first)
+        self._apply_branch(fr, include=True)
         fr.stage = 1
         stack.append(_NodeFrame(ctx))
 
@@ -270,20 +266,17 @@ class _Machine:
     def _ils_bound(self, ctx: _Ctx) -> None:
         g = ctx.engine.g
         n = g.n_alive
-        if n < self.config.ls_min_size:
+        if n < _LS_MIN_SIZE:
             return
         self.stats.ils_runs += 1
-        rounds = min(self.config.ls_iterations, 10 * n + 50)
+        rounds = min(_LS_ITERATIONS, 10 * n + 50)
         cap = None
-        if self.config.time_limit is not None:
-            cap = min(self.config.ls_fraction * self.config.time_limit, 10.0)
-            if self.deadline is not None:
-                cap = min(cap, max(self.deadline - time.monotonic(), 0.0))
-        sub, mapping = g.compact_copy()
+        if self.deadline is not None:
+            cap = min(_LS_FRACTION * self.config.time_limit, 10.0,
+                      max(self.deadline - time.monotonic(), 0.0))
         seed = (self.config.seed * 0x9E3779B9 + ctx.index) & ((1 << 62) - 1)
-        res = ils_run(sub, iterations=rounds, time_limit=cap, seed=seed)
-        kernel_verts = [mapping[i] for i in res.solution.vertices]
-        lifted = lift_solution(kernel_verts, ctx.engine.records)
+        res = ils_run(g, iterations=rounds, time_limit=cap, seed=seed)
+        lifted = lift_solution(res.solution.vertices, ctx.engine.records)
         ctx.offer(ctx.engine.offset + res.solution.weight, lifted)
 
 
@@ -298,10 +291,8 @@ def solve(graph: WeightedGraph, config: SolverConfig | None = None) -> SolveResu
     t0 = time.monotonic()
     stats = SearchStats()
     working, root_map = graph.compact_copy()
-    engine = ReductionEngine(
-        working, variant=config.variant,
-        max_meta_size=config.max_meta_size, mode=config.reduction_mode,
-        stats=stats.rule_applications)
+    engine = ReductionEngine(working, variant=config.variant,
+                             stats=stats.rule_applications)
     machine = _Machine(engine, config, stats, t0)
     completed = True
     try:

@@ -228,6 +228,13 @@ def test_cli_timeout_is_exit_zero(tmp_path, capsys):
     verify_independent_set(g, [v - 1 for v in rec["solution"]])
 
 
+def test_cli_refuses_weights_past_int64(tmp_path, capsys):
+    gpath = tmp_path / "heavy.graph"
+    gpath.write_text(f"3 2 10\n{2**62} 2\n1 1 3\n{2**62} 2\n")
+    assert main(["ls", str(gpath), "--iterations", "5"]) == 1
+    assert "2**63 - 1" in capsys.readouterr().err
+
+
 def test_console_script_entry_point(edge_graph):
     out = subprocess.run([sys.executable, "-m", "mwis.cli", "solve", str(edge_graph)],
                          capture_output=True, text=True)

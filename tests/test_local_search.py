@@ -1,7 +1,11 @@
 """Iterated local search: moves, invariants, determinism, quality."""
 
+import time
+
+import pytest
+
 from helpers import path_graph, random_graph
-from mwis import LsState, WeightedGraph, brute_force_mwis, ils_run
+from mwis import GraphError, LsState, WeightedGraph, brute_force_mwis, ils_run
 from mwis.solution import verify_independent_set
 
 
@@ -139,3 +143,20 @@ def test_path_counterexample_needs_perturbation():
     g = path_graph([2, 5, 2])
     res = ils_run(g, iterations=200, seed=0)
     assert res.solution.weight == 5
+
+
+@pytest.mark.parametrize("weights", [[2**62, 1, 2**62], [2**63, 1, 1]])
+def test_weights_past_int64_are_refused_promptly(weights):
+    # a wrapped int64 sum would make the descent "improve" forever
+    g = path_graph(weights)
+    t0 = time.monotonic()
+    with pytest.raises(GraphError, match="2\\*\\*63 - 1"):
+        ils_run(g, iterations=5)
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_weights_summing_to_the_int64_limit_are_exact():
+    g = path_graph([2**62, 2**62 - 2, 1])  # total 2**63 - 1
+    res = ils_run(g, iterations=5)
+    assert res.solution.weight == 2**62 + 1
+    assert verify_independent_set(g, res.solution.vertices) == 2**62 + 1

@@ -3,7 +3,8 @@
 import pytest
 
 from helpers import clique_graph, cycle_graph, path_graph, random_graph, star_graph
-from mwis import OracleSizeError, WeightedGraph, brute_force_critical_set, brute_force_mwis
+from mwis import (GraphError, OracleSizeError, WeightedGraph,
+                  brute_force_critical_set, brute_force_mwis)
 from mwis.oracle import (_enum_mwis_loop, _enum_mwis_numpy, _masks_of,
                          subgraph_mwis_weight)
 from mwis.solution import verify_independent_set
@@ -29,6 +30,20 @@ def test_size_cap_refusal():
     g = WeightedGraph([1] * 25)
     with pytest.raises(OracleSizeError):
         brute_force_mwis(g)
+
+
+@pytest.mark.parametrize("weights", [[2**62, 1, 2**62], [2**63, 1, 1]])
+def test_weights_past_int64_are_refused(weights):
+    g = path_graph(weights)
+    with pytest.raises(GraphError):
+        brute_force_mwis(g)
+    with pytest.raises(GraphError):
+        subgraph_mwis_weight(g, [0, 2])
+
+
+def test_weights_summing_to_the_int64_limit_are_exact():
+    sol = brute_force_mwis(path_graph([2**62, 2**62 - 2, 1]))  # total 2**63 - 1
+    assert sol.vertices == (0, 2) and sol.weight == 2**62 + 1
 
 
 def test_empty_graph():

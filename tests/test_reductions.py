@@ -355,7 +355,7 @@ def test_kernel_trees_reduce_to_empty():
         kr = reduce_to_kernel(g)
         assert kr.kernel.n_alive == 0
         assert kr.offset == want
-        assert verify_independent_set(original, kr.forced_in) == want
+        assert verify_independent_set(original, lift_solution((), kr.stack)) == want
 
 
 def test_kernel_transfer_topology_matches_oracle():
@@ -373,7 +373,7 @@ def test_lift_empty_kernel_forced_vertices():
     g = WeightedGraph([5, 1, 7, 1], [(0, 1), (2, 3)])
     kr = reduce_to_kernel(g)
     assert kr.kernel.n_alive == 0
-    assert kr.forced_in == (0, 2)
+    assert lift_solution((), kr.stack) == {0, 2}
 
 
 def test_lift_rejects_non_independent_input():
@@ -464,11 +464,30 @@ def test_queue_equals_scan_scheduling():
         n = 1 + seed % 16
         g1 = random_graph(seed, n, 0.3)
         g2 = copy_graph(g1)
-        k1 = reduce_to_kernel(g1, mode="queue")
-        k2 = reduce_to_kernel(g2, mode="scan")
+        e1 = ReductionEngine(g1, mode="queue")
+        e2 = ReductionEngine(g2, mode="scan")
+        e1.reduce(initial=True)
+        e2.reduce(initial=True)
         assert g1.canonical_serialization() == g2.canonical_serialization()
-        assert k1.offset == k2.offset
-        assert k1.stack == k2.stack
+        assert e1.offset == e2.offset
+        assert e1.records == e2.records
+
+
+def test_reduce_dispatches_through_the_class_try_attribute(monkeypatch):
+    # Tracing counts rule calls by wrapping ReductionEngine._try_<rule>; the
+    # scheduler must look the rule up there at call time.
+    results = []
+    original = ReductionEngine._try_weighted_vertex_folding
+
+    def counting(self, v):
+        results.append(original(self, v))
+        return results[-1]
+
+    eng = ReductionEngine(path_graph([2, 3, 2]))
+    monkeypatch.setattr(ReductionEngine, "_try_weighted_vertex_folding", counting)
+    eng.reduce()
+    assert True in results
+    assert eng.stats["weighted_vertex_folding"] == results.count(True)
 
 
 def test_kernel_alpha_identity_random():

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import mwis.solver
 from helpers import (clique_graph, path_graph, random_graph, star_graph,
                      structured_family)
 from mwis import (CertificateError, SolverConfig, WeightedGraph,
@@ -67,12 +68,13 @@ def test_branch_full_tie_prefers_lower_id():
     assert select_branch_vertex(g) == 0
 
 
-def test_exploration_order_does_not_change_weight():
-    for seed in (2, 7, 11):
-        g = random_graph(seed, 24, 0.45)
-        a = solve(g, SolverConfig(explore_include_first=True))
-        b = solve(g, SolverConfig(explore_include_first=False))
-        assert a.solution.weight == b.solution.weight
+def test_exploration_order_does_not_change_weight(monkeypatch):
+    graphs = [random_graph(seed, 24, 0.45) for seed in (2, 7, 11)]
+    include_first = [solve(g).solution.weight for g in graphs]
+    apply_branch = mwis.solver._Machine._apply_branch
+    monkeypatch.setattr(mwis.solver._Machine, "_apply_branch",
+                        lambda self, fr, include: apply_branch(self, fr, not include))
+    assert [solve(g).solution.weight for g in graphs] == include_first
 
 
 # -- components --------------------------------------------------------
@@ -98,18 +100,21 @@ def test_single_component_no_split():
 
 # -- pruning -----------------------------------------------------------
 
-def test_pruning_toggle_preserves_weight():
-    for seed in (1, 5, 9):
-        g = random_graph(seed, 26, 0.4)
-        on = solve(g, SolverConfig(use_pruning=True))
-        off = solve(g, SolverConfig(use_pruning=False))
-        assert on.solution.weight == off.solution.weight
-        assert off.stats.nodes >= on.stats.nodes
+def test_pruning_toggle_preserves_weight(monkeypatch):
+    graphs = [random_graph(seed, 26, 0.4) for seed in (1, 5, 9)]
+    on = [solve(g) for g in graphs]
+    monkeypatch.setattr(mwis.solver, "clique_cover_bound", lambda g: float("inf"))
+    off = [solve(g) for g in graphs]
+    for a, b in zip(on, off):
+        assert a.solution.weight == b.solution.weight
+        assert b.stats.prunes == 0
+        assert b.stats.nodes >= a.stats.nodes
 
 
-def test_pruning_happens_on_hard_instances():
+def test_pruning_happens_on_hard_instances(monkeypatch):
+    monkeypatch.setattr(mwis.solver, "_LS_MIN_SIZE", 4)
     g = random_graph(3, 30, 0.5)
-    r = solve(g, SolverConfig(ls_min_size=4))
+    r = solve(g)
     assert r.stats.prunes > 0
 
 
