@@ -1,9 +1,11 @@
 """Backend selection for the numeric hot loops.
 
-Two kernels dominate runtime: the brute-force subset enumeration used by the
-oracle (and by the meta reduction's local subsolves) and the local search
-inner loop.  Both are written as plain loops over numpy arrays so that they
-can either be JIT-compiled with numba or executed as-is.
+Two numeric loops run over numpy arrays: the brute-force subset enumeration
+of the reference oracle and the local search inner loop.  Both are written
+as plain loops so that they can either be JIT-compiled with numba or
+executed as-is.  The solver's own exact work (reductions, including the
+meta rule's local subsolves, and the branch and bound) is plain Python on
+either backend.
 
 The backend is chosen once at import time from the ``MWIS_BACKEND``
 environment variable:

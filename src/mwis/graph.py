@@ -10,8 +10,9 @@ Conventions:
 
 * vertices are dense integer ids; folded vertices get fresh ids appended past
   the original range, dead ids are never reused,
-* weights are positive integers; the local search and the oracle sum them
-  in int64 and refuse graphs past ``MAX_TOTAL_WEIGHT`` (2**63 - 1),
+* weights are positive integers of any size; the local search and the
+  oracle sum them in int64 and refuse graphs past ``MAX_TOTAL_WEIGHT``
+  (2**63 - 1), and the solver skips its local-search bound there,
 * neighbor lists are kept sorted and never contain dead vertices, so
   subset/merge tests over neighborhoods are linear scans.
 """

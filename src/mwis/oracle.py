@@ -1,10 +1,9 @@
 """Exhaustive reference solvers.
 
 These are the ground truth that every reduction, bound and the full solver
-are tested against, and they double as the subsolver for the local
-subproblems of the neighbor-removal meta reduction.  They enumerate all
-subsets; no memoization, no pruning beyond skipping infeasible subsets, so
-they stay obviously correct.
+are tested against, and the ``oracle`` command of the CLI.  They enumerate
+all subsets; no memoization, no pruning beyond skipping infeasible subsets,
+so they stay obviously correct.
 
 Ties between equal-weight optimal sets are broken toward the vertex set
 whose sorted id sequence is lexicographically smallest.  For positive

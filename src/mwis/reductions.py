@@ -39,7 +39,6 @@ from typing import Iterable, Sequence
 
 from .critical import critical_weighted_set
 from .graph import WeightedGraph
-from .oracle import subgraph_mwis_weight
 from .solution import verify_independent_set
 
 LOCAL_RULES = (
@@ -54,6 +53,56 @@ LOCAL_RULES = (
 )
 CRITICAL_RULE = "critical_set"
 MAX_META_SIZE = 16  # size cap of the neighborhood fold and the local subsolve
+
+
+def subgraph_mwis_weight(graph: WeightedGraph, vertices: Iterable[int]) -> int:
+    """Exact MWIS weight of the subgraph induced by ``vertices``.
+
+    A branch and bound over bitmasks held in Python ints, meant for the
+    small local subproblems of the meta rule (recursion depth grows with the
+    vertex count).  Each node takes every vertex with no neighbor left in
+    the mask, then branches on the vertex of largest degree inside the mask,
+    including it first, and prunes when the weight left in the mask cannot
+    beat the best set found.  Weights are Python ints, so any size is exact.
+    """
+    verts = list(set(vertices))
+    index = {v: i for i, v in enumerate(verts)}
+    weight = [graph.weight(v) for v in verts]
+    adj = [0] * len(verts)
+    for i, v in enumerate(verts):
+        for u in graph.neighbors(v):
+            j = index.get(u)
+            if j is not None:
+                adj[i] |= 1 << j
+    best = 0
+
+    def branch(mask: int, acc: int) -> None:
+        nonlocal best
+        rest = 0  # weight left in the mask once its free vertices are taken
+        pick, pick_deg = -1, 0
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            i = low.bit_length() - 1
+            deg = (adj[i] & mask).bit_count()
+            if deg == 0:
+                mask ^= low
+                acc += weight[i]
+            else:
+                rest += weight[i]
+                if deg > pick_deg:
+                    pick, pick_deg = i, deg
+        if acc > best:
+            best = acc
+        if pick < 0 or acc + rest <= best:
+            return
+        bit = 1 << pick
+        branch(mask & ~(adj[pick] | bit), acc + weight[pick])
+        branch(mask & ~bit, acc)
+
+    branch((1 << len(verts)) - 1, 0)
+    return best
 
 
 @dataclass(frozen=True)
@@ -514,17 +563,29 @@ class ReductionEngine:
 
     def neighbor_removal_meta(self, v: int, u: int) -> bool:
         """Remove the neighbor ``u`` of ``v`` when the best set inside
-        ``N(v) - N[u]`` plus ``u`` still cannot beat ``v``.  The local
-        subproblem is solved exactly, so its size is capped at
-        ``MAX_META_SIZE``."""
+        ``N(v) - N[u]`` plus ``u`` still cannot beat ``v``.
+
+        Weight tests decide most pairs in O(k): a single local vertex heavier
+        than the slack ``w(v) - w(u)`` refutes the rule, and a local
+        neighborhood whose whole weight fits in the slack confirms it.  Only
+        the pairs in between are solved exactly, so the local subproblem is
+        capped at ``MAX_META_SIZE`` vertices."""
         g = self.g
         if not g.has_edge(u, v):
+            return False
+        slack = g.weight(v) - g.weight(u)
+        if slack < 0:
             return False
         nu = set(g.neighbors(u))
         local = [x for x in g.neighbors(v) if x != u and x not in nu]
         if len(local) > MAX_META_SIZE:
             return False
-        if subgraph_mwis_weight(g, local) + g.weight(u) > g.weight(v):
+        local_w = [g.weight(x) for x in local]
+        if max(local_w, default=0) > slack:
+            return False
+        # Looked up at call time, so a wrapper on the module name sees only
+        # the exact subsolves.
+        if sum(local_w) > slack and subgraph_mwis_weight(g, local) > slack:
             return False
         self.remove_vertex(u)
         return True

@@ -3,7 +3,8 @@
 Each search node reduces the graph to a fixpoint through the incremental
 reduction engine, computes a one-off local-search lower bound per
 subproblem (``_LS_ITERATIONS`` rounds at most, none below ``_LS_MIN_SIZE``
-vertices, wall-capped at ``_LS_FRACTION`` of a time limit), prunes against a
+vertices or past ``MAX_TOTAL_WEIGHT`` in total, wall-capped at
+``_LS_FRACTION`` of a time limit), prunes against a
 weighted clique cover upper bound, splits
 connected components into independent subproblems, and otherwise branches
 on the vertex of maximum degree (including it first).  Backtracking rolls
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .bounds import clique_cover_bound
 from .errors import InternalError
-from .graph import WeightedGraph
+from .graph import MAX_TOTAL_WEIGHT, WeightedGraph
 from .local_search import ils_run
 from .reductions import ReductionEngine, lift_solution
 from .solution import Solution, verify_independent_set, verify_solution
@@ -45,7 +46,8 @@ class SolverConfig:
     clique rules to triangles and disables the folding/subsolve meta rules.
 
     The local-search lower bound runs once per subproblem of at least
-    ``_LS_MIN_SIZE`` vertices with a deterministic round budget
+    ``_LS_MIN_SIZE`` vertices whose total weight fits in int64
+    (``MAX_TOTAL_WEIGHT``), with a deterministic round budget
     (``_LS_ITERATIONS``) seeded from ``seed``; when ``time_limit`` is set it
     is additionally wall-capped at ``_LS_FRACTION`` of the limit, at most
     10 seconds.
@@ -268,6 +270,8 @@ class _Machine:
         n = g.n_alive
         if n < _LS_MIN_SIZE:
             return
+        if sum(g.weight(v) for v in g.alive_vertices()) > MAX_TOTAL_WEIGHT:
+            return  # the local search sums in int64; the search stays exact without it
         self.stats.ils_runs += 1
         rounds = min(_LS_ITERATIONS, 10 * n + 50)
         cap = None

@@ -9,6 +9,8 @@ finishes in seconds.
 import random
 import time
 
+import pytest
+
 from helpers import (clique_graph, copy_graph, cycle_graph, gnm_graph,
                      path_graph, random_graph, random_tree, star_graph,
                      structured_family, twin_gadget_graph)
@@ -135,6 +137,7 @@ def test_04_bound_soundness_and_prune_ab(monkeypatch):
             f"bound >= alpha on {checked} graphs; prune A/B equal on {ab}")
 
 
+@pytest.mark.slow
 def test_05_kernel_fixpoint():
     for seed in range(50):
         g = gnm_graph(seed, 500, 1500)
@@ -224,6 +227,7 @@ def _hybrid_weight(g, budget, seed):
     return verify_independent_set(g, lifted)
 
 
+@pytest.mark.slow
 def test_09_hybrid_improvement():
     at_least, strictly = 0, 0
     for seed in range(20):

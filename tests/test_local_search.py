@@ -116,6 +116,7 @@ def test_chunking_does_not_change_the_trajectory():
     assert st1.best_vertices() == st2.best_vertices()
 
 
+@pytest.mark.slow
 def test_quality_on_small_random_graphs():
     hits = 0
     for seed in range(100):

@@ -7,6 +7,7 @@ from helpers import (clique_graph, copy_graph, cycle_graph, path_graph,
                      twin_gadget_graph)
 from mwis import (CertificateError, ReductionEngine, WeightedGraph,
                   brute_force_mwis, lift_solution, reduce_to_kernel)
+from mwis import reductions
 from mwis.solution import verify_independent_set
 
 PETERSEN_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
@@ -90,6 +91,41 @@ def test_neighbor_removal_meta_condition_fails():
     eng = ReductionEngine(g)
     assert not eng.neighbor_removal_meta(0, 1)
     assert g.n_alive == 3
+
+
+def test_neighbor_removal_meta_weight_tests_skip_the_subsolve(monkeypatch):
+    calls = []
+
+    def spy(graph, vertices):
+        calls.append(sorted(vertices))
+        return exact(graph, vertices)
+
+    exact = reductions.subgraph_mwis_weight
+    monkeypatch.setattr(reductions, "subgraph_mwis_weight", spy)
+    # slack 5 - 3 = 2 < leaf 4: the max test rejects
+    assert not ReductionEngine(star_graph(5, [3, 4])).neighbor_removal_meta(0, 1)
+    # slack 2 - 3 < 0: rejected before the local set is built
+    assert not ReductionEngine(star_graph(2, [3, 1])).neighbor_removal_meta(0, 1)
+    # slack 10 - 3 = 7 >= 4 + 2: the sum test accepts
+    g = star_graph(10, [3, 4, 2])
+    assert ReductionEngine(g).neighbor_removal_meta(0, 1)
+    assert not g.is_alive(1)
+    assert calls == []
+    # slack 5 - 1 = 4 lies between max 3 and sum 5: only the subsolve decides
+    assert not ReductionEngine(star_graph(5, [1, 2, 3])).neighbor_removal_meta(0, 1)
+    assert calls == [[2, 3]]
+
+
+@pytest.mark.parametrize("wv, applies", [(2**64 + 1, True), (2**64, False)])
+def test_neighbor_removal_meta_past_int64(wv, applies):
+    # total weight far above 2**63 - 1; the local optimum 2**64 (vertices 3
+    # and 4, not 2) decides against the slack wv - 1 only when summed exactly
+    big = 2**63
+    g = WeightedGraph([wv, 1, big, big, big],
+                      [(0, 1), (0, 2), (0, 3), (0, 4), (2, 3), (2, 4)])
+    assert reductions.subgraph_mwis_weight(g, [2, 3, 4]) == 2**64
+    assert ReductionEngine(g).neighbor_removal_meta(0, 1) is applies
+    assert g.is_alive(1) is not applies
 
 
 # ----------------------------------------------------------------------

@@ -92,6 +92,17 @@ def test_component_sum_matches_oracle():
         assert solve(g).solution.weight == brute_force_mwis(g).weight
 
 
+def test_weights_past_int64_solve_without_the_ils_bound():
+    g = random_graph(3, 30, 0.5)
+    heavy = WeightedGraph([g.weight(v) << 55 for v in range(g.n_alive)],
+                          [(u, v) for u in range(g.n_alive) for v in g.neighbors(u) if u < v])
+    want = solve(g).solution.weight << 55
+    assert want > 2**63 - 1
+    r = solve(heavy)
+    assert r.solution.optimal and r.solution.weight == want
+    verify_solution(heavy, r.solution)
+
+
 def test_single_component_no_split():
     g = clique_graph([4, 5, 6])
     r = solve(g)
