@@ -1,9 +1,9 @@
 """Backend selection for the numeric hot loops.
 
-Two numeric loops run over numpy arrays: the brute-force subset enumeration
-of the reference oracle and the local search inner loop.  Both are written
-as plain loops so that they can either be JIT-compiled with numba or
-executed as-is.  The solver's own exact work (reductions, including the
+Two numeric loops are written as plain loops so that they can either be
+JIT-compiled with numba or executed as-is: the brute-force subset
+enumeration of the reference oracle, over numpy arrays, and the local search
+inner loop, over numpy arrays under numba and Python lists otherwise.  The solver's own exact work (reductions, including the
 meta rule's local subsolves, and the branch and bound) is plain Python on
 either backend.
 

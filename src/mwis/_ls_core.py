@@ -1,14 +1,46 @@
 """Inner loops of the weighted iterated local search.
 
-Everything here operates on flat CSR arrays so the numba backend can compile
-it; under the numpy backend the same code runs interpreted (see
-:mod:`mwis._accel`).  State travels in an ``int64`` array indexed by the
-``S_*`` constants, solution membership in ``uint8`` arrays, so a call is
-resumable: running 100 rounds twice equals running 200 rounds once.
+Everything here operates on flat CSR buffers so the numba backend can
+compile it: ``int64``/``uint8`` arrays under numba, plain Python lists under
+the numpy backend, where list indexing is several times cheaper than numpy
+scalar indexing (see :mod:`mwis._accel` and
+:class:`mwis.local_search.LsState`).  The code therefore takes lengths with
+``len()``.  State travels in the ``state`` buffer indexed by the ``S_*``
+constants, solution membership in 0/1 buffers, so a call is resumable:
+running 100 rounds twice equals running 200 rounds once.
+
+Descent is a worklist replay of a full sweep.  The sweep alternates an
+insertion pass and a (1,2)-swap pass over every vertex in ``order`` until a
+pair of passes changes nothing.  Each check reads only local state, so a
+vertex whose check cannot have turned true since its last visit is skipped:
+
+* the insertion check of a free ``v`` (``w[v] > loss[v]``) can only turn
+  true when ``v`` or a neighbor leaves the solution, so ``_remove`` marks
+  ``v`` and its neighbors;
+* the swap check of ``x`` reads ``in_sol[x]`` and the neighbors ``u`` of
+  ``x`` with ``tight[u] == 1``; it can only turn true when ``x`` enters the
+  solution or that set grows, so ``_insert`` marks ``x`` and ``_remove``
+  marks the remaining solution neighbor of every ``u`` whose ``tight``
+  drops from 2 to 1.  Insertions only ever make other checks false.
+
+A mark is the vertex's position in ``order``, queued per pass kind in
+``queue`` (insertion marks in its first half, swap marks in its second),
+with counts in ``state[S_QINS]`` / ``state[S_QSWAP]`` and a queued flag per
+vertex and kind in ``queued``.  A pass drains its queue into a min-heap and
+visits positions in increasing order, so its cursor only moves forward: a
+mark raised ahead of the cursor joins the running pass, one raised at or
+behind it waits for the next pass of its kind, which is where the sweep
+would look next.  The moves, and so the whole trajectory, are the sweep's,
+at a cost that follows the perturbed neighborhood instead of n.  Because
+marks come from ``_insert``/``_remove``, perturbation, greedy maximization
+and moves applied between calls are covered; a fresh state queues every
+vertex for both passes.
 
 Randomness comes from a 63-bit truncated LCG.  All arithmetic is masked to
 63 bits, which wraps identically in compiled and interpreted mode.
 """
+
+import heapq
 
 from ._accel import maybe_njit
 
@@ -18,7 +50,9 @@ S_BEST = 2   # weight of the best solution seen
 S_FAILS = 3  # rounds since the last improvement
 S_INIT = 4   # 1 once the greedy start ran
 S_SIZE = 5   # current solution size
-STATE_LEN = 6
+S_QINS = 6   # queued insertion marks (S_QINS + k counts the marks of kind k)
+S_QSWAP = 7  # queued swap marks
+STATE_LEN = 8
 
 _LCG_A = 6364136223846793005
 _LCG_C = 1442695040888963407
@@ -45,53 +79,82 @@ def _has_edge(xadj, adj, u, v):
     return lo < xadj[u + 1] and adj[lo] == v
 
 
-def _insert(v, xadj, adj, w, in_sol, tight, loss, state):
+def _mark(k, v, pos, queued, queue, state):
+    """Queue ``v`` for the passes of kind ``k`` (0 insertion, 1 swap)."""
+    i = k * len(pos)
+    if queued[i + v] == 0:
+        queued[i + v] = 1
+        queue[i + state[S_QINS + k]] = pos[v]
+        state[S_QINS + k] += 1
+
+
+def _insert(v, xadj, adj, w, pos, in_sol, tight, loss, queued, queue, state):
     in_sol[v] = 1
     state[S_CUR] += w[v]
     state[S_SIZE] += 1
+    _mark(1, v, pos, queued, queue, state)
     for i in range(xadj[v], xadj[v + 1]):
         u = adj[i]
         tight[u] += 1
         loss[u] += w[v]
 
 
-def _remove(v, xadj, adj, w, in_sol, tight, loss, state):
+def _remove(v, xadj, adj, w, pos, in_sol, tight, loss, queued, queue, state):
     in_sol[v] = 0
-    state[S_CUR] -= w[v]
+    wv = w[v]
+    state[S_CUR] -= wv
     state[S_SIZE] -= 1
+    _mark(0, v, pos, queued, queue, state)
+    n = len(pos)
+    # the hot loop of every move, so both marks are written out inline
     for i in range(xadj[v], xadj[v + 1]):
         u = adj[i]
-        tight[u] -= 1
-        loss[u] -= w[v]
+        t = tight[u] - 1
+        tight[u] = t
+        loss[u] -= wv
+        if queued[u] == 0:
+            queued[u] = 1
+            queue[state[S_QINS]] = pos[u]
+            state[S_QINS] += 1
+        if t == 1:
+            for j in range(xadj[u], xadj[u + 1]):
+                x = adj[j]
+                if in_sol[x] == 1:
+                    if queued[n + x] == 0:
+                        queued[n + x] = 1
+                        queue[n + state[S_QSWAP]] = pos[x]
+                        state[S_QSWAP] += 1
+                    break
 
 
-def _force_insert(v, xadj, adj, w, in_sol, tight, loss, state):
+def _force_insert(v, xadj, adj, w, pos, in_sol, tight, loss, queued, queue, state):
     """Insert ``v`` after evicting its solution neighbors."""
     for i in range(xadj[v], xadj[v + 1]):
         u = adj[i]
         if in_sol[u] == 1:
-            _remove(u, xadj, adj, w, in_sol, tight, loss, state)
-    _insert(v, xadj, adj, w, in_sol, tight, loss, state)
+            _remove(u, xadj, adj, w, pos, in_sol, tight, loss, queued, queue, state)
+    _insert(v, xadj, adj, w, pos, in_sol, tight, loss, queued, queue, state)
 
 
-def _greedy_maximize(xadj, adj, w, order, in_sol, tight, loss, state):
+def _greedy_maximize(xadj, adj, w, order, pos, in_sol, tight, loss, queued,
+                     queue, state):
     """Add free vertices in descending weight order until maximal."""
-    n = order.shape[0]
-    for oi in range(n):
+    for oi in range(len(order)):
         v = order[oi]
         if in_sol[v] == 0 and tight[v] == 0:
-            _insert(v, xadj, adj, w, in_sol, tight, loss, state)
+            _insert(v, xadj, adj, w, pos, in_sol, tight, loss, queued, queue, state)
 
 
-def _omega_swap(v, xadj, adj, w, in_sol, tight, loss, state):
+def _omega_swap(v, xadj, adj, w, pos, in_sol, tight, loss, queued, queue, state):
     """Insert ``v`` when it outweighs its solution neighbors (strictly)."""
     if in_sol[v] == 1 or w[v] <= loss[v]:
         return False
-    _force_insert(v, xadj, adj, w, in_sol, tight, loss, state)
+    _force_insert(v, xadj, adj, w, pos, in_sol, tight, loss, queued, queue, state)
     return True
 
 
-def _one_two_swap(v, xadj, adj, w, in_sol, tight, loss, cand, state):
+def _one_two_swap(v, xadj, adj, w, pos, in_sol, tight, loss, queued, queue,
+                  cand, state):
     """Trade ``v`` for its best pair of independent, otherwise-free neighbors."""
     if in_sol[v] == 0:
         return False
@@ -114,51 +177,78 @@ def _one_two_swap(v, xadj, adj, w, in_sol, tight, loss, cand, state):
                 best_b = b
     if best_a < 0:
         return False
-    _remove(v, xadj, adj, w, in_sol, tight, loss, state)
-    _insert(best_a, xadj, adj, w, in_sol, tight, loss, state)
-    _insert(best_b, xadj, adj, w, in_sol, tight, loss, state)
+    _remove(v, xadj, adj, w, pos, in_sol, tight, loss, queued, queue, state)
+    _insert(best_a, xadj, adj, w, pos, in_sol, tight, loss, queued, queue, state)
+    _insert(best_b, xadj, adj, w, pos, in_sol, tight, loss, queued, queue, state)
     return True
 
 
-def _descend(xadj, adj, w, order, in_sol, tight, loss, cand, state):
-    """Run swaps to a local optimum; every applied move raises the weight."""
-    n = order.shape[0]
-    improved = True
-    while improved:
-        improved = False
-        for oi in range(n):
-            v = order[oi]
+def _pass(k, xadj, adj, w, order, pos, in_sol, tight, loss, queued, queue,
+          cand, state):
+    """One sweep pass of kind ``k`` (0 insertion, 1 swap) over its marks."""
+    base = k * len(order)
+    heap = [queue[base + i] for i in range(state[S_QINS + k])]
+    state[S_QINS + k] = 0
+    heapq.heapify(heap)
+    while len(heap) > 0:
+        p = heapq.heappop(heap)
+        v = order[p]
+        queued[base + v] = 0
+        start = state[S_QINS + k]
+        moved = False
+        if k == 0:
             if in_sol[v] == 0 and w[v] > loss[v]:
-                _force_insert(v, xadj, adj, w, in_sol, tight, loss, state)
-                improved = True
-        for oi in range(n):
-            v = order[oi]
-            if in_sol[v] == 1:
-                if _one_two_swap(v, xadj, adj, w, in_sol, tight, loss, cand, state):
-                    improved = True
+                _force_insert(v, xadj, adj, w, pos, in_sol, tight, loss, queued,
+                              queue, state)
+                moved = True
+        elif in_sol[v] == 1:
+            moved = _one_two_swap(v, xadj, adj, w, pos, in_sol, tight, loss,
+                                  queued, queue, cand, state)
+        if moved:
+            keep = start
+            for i in range(start, state[S_QINS + k]):
+                q = queue[base + i]
+                if q > p:
+                    heapq.heappush(heap, q)
+                else:
+                    queue[base + keep] = q
+                    keep += 1
+            state[S_QINS + k] = keep
 
 
-def _perturb(k, xadj, adj, w, in_sol, tight, loss, state):
-    n = w.shape[0]
+def _descend(xadj, adj, w, order, pos, in_sol, tight, loss, queued, queue,
+             cand, state):
+    """Run swaps to a local optimum; every applied move raises the weight."""
+    while state[S_QINS] > 0 or state[S_QSWAP] > 0:
+        _pass(0, xadj, adj, w, order, pos, in_sol, tight, loss, queued, queue,
+              cand, state)
+        _pass(1, xadj, adj, w, order, pos, in_sol, tight, loss, queued, queue,
+              cand, state)
+
+
+def _perturb(k, xadj, adj, w, pos, in_sol, tight, loss, queued, queue, state):
+    n = len(w)
     for _ in range(k):
         if state[S_SIZE] >= n:
             return
         v = _rng_below(state, n)
         while in_sol[v] == 1:
             v = (v + 1) % n
-        _force_insert(v, xadj, adj, w, in_sol, tight, loss, state)
+        _force_insert(v, xadj, adj, w, pos, in_sol, tight, loss, queued, queue,
+                      state)
 
 
-def ils_rounds(xadj, adj, w, order, in_sol, tight, loss, best_sol, cand,
-               state, rounds):
+def ils_rounds(xadj, adj, w, order, pos, in_sol, tight, loss, best_sol,
+               queued, queue, cand, state, rounds):
     """Advance the search by ``rounds`` perturbation rounds.
 
     The first call also builds the greedy start and descends from it.
     """
-    n = w.shape[0]
+    n = len(w)
     if state[S_INIT] == 0:
         state[S_INIT] = 1
-        _descend(xadj, adj, w, order, in_sol, tight, loss, cand, state)
+        _descend(xadj, adj, w, order, pos, in_sol, tight, loss, queued, queue,
+                 cand, state)
         state[S_BEST] = state[S_CUR]
         best_sol[:] = in_sol
     for _ in range(rounds):
@@ -168,8 +258,9 @@ def ils_rounds(xadj, adj, w, order, in_sol, tight, loss, best_sol, cand,
         cap = n // 4 + 1
         if k > cap:
             k = cap
-        _perturb(k, xadj, adj, w, in_sol, tight, loss, state)
-        _descend(xadj, adj, w, order, in_sol, tight, loss, cand, state)
+        _perturb(k, xadj, adj, w, pos, in_sol, tight, loss, queued, queue, state)
+        _descend(xadj, adj, w, order, pos, in_sol, tight, loss, queued, queue,
+                 cand, state)
         if state[S_CUR] > state[S_BEST]:
             state[S_BEST] = state[S_CUR]
             best_sol[:] = in_sol
@@ -180,12 +271,14 @@ def ils_rounds(xadj, adj, w, order, in_sol, tight, loss, best_sol, cand,
 
 _rng_below = maybe_njit(_rng_below)
 _has_edge = maybe_njit(_has_edge)
+_mark = maybe_njit(_mark)
 _insert = maybe_njit(_insert)
 _remove = maybe_njit(_remove)
 _force_insert = maybe_njit(_force_insert)
 _greedy_maximize = maybe_njit(_greedy_maximize)
 _omega_swap = maybe_njit(_omega_swap)
 _one_two_swap = maybe_njit(_one_two_swap)
+_pass = maybe_njit(_pass)
 _descend = maybe_njit(_descend)
 _perturb = maybe_njit(_perturb)
 ils_rounds = maybe_njit(ils_rounds)

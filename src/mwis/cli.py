@@ -22,12 +22,12 @@ import time
 
 from . import graph_io
 from .errors import CertificateError, GraphError, OracleSizeError, ParseError
-from .graph import WeightedGraph
+from .graph import MAX_TOTAL_WEIGHT, WeightedGraph
 from .local_search import ils_run
 from .oracle import brute_force_mwis
 from .reductions import lift_solution, reduce_to_kernel
 from .solution import Solution, verify_solution
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, greedy_complete, solve
 
 
 def _add_common(p: argparse.ArgumentParser, time_limit: bool = True) -> None:
@@ -135,7 +135,12 @@ def cmd_hybrid(args) -> int:
     reduce_done = time.monotonic()
     convergence = [(reduce_done - t0, kr.offset)]
     kernel_sol: tuple[int, ...] = ()
-    if kr.kernel.n_alive > 0:
+    if sum(kr.kernel.weight(v) for v in kr.kernel.alive_vertices()) > MAX_TOTAL_WEIGHT:
+        # the local search sums in int64; complete the kernel greedily instead
+        greedy = greedy_complete(kr.kernel)
+        kernel_sol = greedy.vertices
+        convergence.append((time.monotonic() - t0, kr.offset + greedy.weight))
+    elif kr.kernel.n_alive > 0:
         iterations = args.iterations
         if args.time_limit is None and iterations is None:
             iterations = 10000

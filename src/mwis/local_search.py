@@ -11,6 +11,16 @@ two moves and an escalating random perturbation:
   non-adjacent neighbors that conflict only with it, when the pair is
   strictly heavier.
 
+Each descent replays a full sweep over all vertices, move for move, but
+visits only the vertices whose check a change could have turned true: the
+core queues a mark on a vertex when its local state changes and runs each
+pass as a forward-moving cursor over the marked positions (see
+:mod:`mwis._ls_core`).  A round therefore costs its perturbed neighborhood,
+not O(n).  :class:`LsState` keeps the marks with the rest of the state, so
+runs resume exactly; it hands the core Python lists under the numpy backend,
+which the interpreter indexes faster than numpy arrays, and ``int64`` arrays
+under numba.
+
 Runs are deterministic given (graph, seed, round budget); a wall-clock
 budget simply stops issuing rounds once the deadline passes.
 """
@@ -23,27 +33,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _ls_core as core
+from ._accel import NUMBA_ENABLED
 from .graph import WeightedGraph, check_total_weight
 from .solution import Solution
 
 _CHUNK_ROUNDS = 32
 
 
-def _csr_of(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+def _csr_of(graph: WeightedGraph) -> tuple[list[int], list[int], list[int], list[int]]:
     verts = sorted(graph.alive_vertices())
     index = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    xadj = np.zeros(n + 1, dtype=np.int64)
+    xadj = [0]
+    adj: list[int] = []
     for v in verts:
-        xadj[index[v] + 1] = graph.degree(v)
-    np.cumsum(xadj, out=xadj)
-    adj = np.empty(int(xadj[-1]), dtype=np.int64)
-    for v in verts:
-        i = index[v]
-        adj[xadj[i]:xadj[i + 1]] = [index[u] for u in graph.neighbors(v)]
+        adj.extend(map(index.__getitem__, graph.neighbors(v)))
+        xadj.append(len(adj))
     weights = [graph.weight(v) for v in verts]
     check_total_weight(weights)
-    return xadj, adj, np.array(weights, dtype=np.int64), verts
+    return xadj, adj, weights, verts
+
+
+def _buffer(values: list[int], dtype) -> list[int] | np.ndarray:
+    """A core buffer: a numpy array for numba to compile against, else the
+    list itself, which interpreted code indexes several times faster."""
+    return np.array(values, dtype=dtype) if NUMBA_ENABLED else values
 
 
 class LsState:
@@ -56,26 +69,33 @@ class LsState:
     """
 
     def __init__(self, graph: WeightedGraph, seed: int = 0):
-        self.xadj, self.adj, self.w, self.verts = _csr_of(graph)
+        xadj, adj, w, self.verts = _csr_of(graph)
         n = len(self.verts)
         self._index = {v: i for i, v in enumerate(self.verts)}
-        self.order = np.array(
-            sorted(range(n), key=lambda i: (-int(self.w[i]), i)), dtype=np.int64
-        )
-        self.in_sol = np.zeros(n, dtype=np.uint8)
-        self.tight = np.zeros(n, dtype=np.int64)
-        self.loss = np.zeros(n, dtype=np.int64)
-        self.best_sol = np.zeros(n, dtype=np.uint8)
-        self.cand = np.empty(max(n, 1), dtype=np.int64)
-        self.state = np.zeros(core.STATE_LEN, dtype=np.int64)
-        self.state[core.S_RNG] = seed & ((1 << 63) - 1)
+        order = sorted(range(n), key=w.__getitem__, reverse=True)  # stable, so ties keep index order
+        pos = [0] * n
+        for p, v in enumerate(order):
+            pos[v] = p
+        state = [0] * core.STATE_LEN
+        state[core.S_RNG] = seed & ((1 << 63) - 1)
+        state[core.S_QINS] = state[core.S_QSWAP] = n  # every vertex queued for both passes
+        i64, u8 = np.int64, np.uint8
+        self.xadj, self.adj, self.w = _buffer(xadj, i64), _buffer(adj, i64), _buffer(w, i64)
+        self.order, self.pos = _buffer(order, i64), _buffer(pos, i64)
+        self.in_sol, self.best_sol = _buffer([0] * n, u8), _buffer([0] * n, u8)
+        self.tight, self.loss = _buffer([0] * n, i64), _buffer([0] * n, i64)
+        self.queued = _buffer([1] * (2 * n), u8)
+        self.queue = _buffer(list(range(n)) * 2, i64)
+        self.cand = _buffer([0] * max(n, 1), i64)
+        self.state = _buffer(state, i64)
 
     # -- spec-level move operations (mainly for tests) -------------------
 
     def omega_one_swap(self, v: int) -> bool:
         """Insert ``v`` if strictly heavier than its solution neighbors."""
         applied = core._omega_swap(self._index[v], self.xadj, self.adj, self.w,
-                                   self.in_sol, self.tight, self.loss, self.state)
+                                   self.pos, self.in_sol, self.tight, self.loss,
+                                   self.queued, self.queue, self.state)
         if applied:
             self._maximize()
         return bool(applied)
@@ -83,20 +103,21 @@ class LsState:
     def weighted_one_two_swap(self, v: int) -> bool:
         """Trade ``v`` for its best strictly-heavier free neighbor pair."""
         applied = core._one_two_swap(self._index[v], self.xadj, self.adj, self.w,
-                                     self.in_sol, self.tight, self.loss,
-                                     self.cand, self.state)
+                                     self.pos, self.in_sol, self.tight, self.loss,
+                                     self.queued, self.queue, self.cand, self.state)
         if applied:
             self._maximize()
         return bool(applied)
 
     def _maximize(self) -> None:
-        core._greedy_maximize(self.xadj, self.adj, self.w, self.order,
-                              self.in_sol, self.tight, self.loss, self.state)
+        core._greedy_maximize(self.xadj, self.adj, self.w, self.order, self.pos,
+                              self.in_sol, self.tight, self.loss, self.queued,
+                              self.queue, self.state)
 
     def run_rounds(self, rounds: int) -> None:
-        core.ils_rounds(self.xadj, self.adj, self.w, self.order, self.in_sol,
-                        self.tight, self.loss, self.best_sol, self.cand,
-                        self.state, rounds)
+        core.ils_rounds(self.xadj, self.adj, self.w, self.order, self.pos,
+                        self.in_sol, self.tight, self.loss, self.best_sol,
+                        self.queued, self.queue, self.cand, self.state, rounds)
 
     # -- views -----------------------------------------------------------
 

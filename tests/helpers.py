@@ -23,6 +23,19 @@ def gnm_graph(seed, n, m, wmax=200):
     return WeightedGraph(weights, sorted(edges))
 
 
+def cubic_graph(seed, n, wmax=200):
+    """Random simple 3-regular graph on an even ``n``: a random pairing of
+    three points per vertex, redrawn until it has no loop or repeated edge."""
+    rng = random.Random(seed)
+    weights = [rng.randint(1, wmax) for _ in range(n)]
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(points[::2], points[1::2]) if a != b}
+        if len(edges) == 3 * n // 2:
+            return WeightedGraph(weights, sorted(edges))
+
+
 def random_tree(seed, n, wmax=200):
     rng = random.Random(seed)
     weights = [rng.randint(1, wmax) for _ in range(n)]

@@ -137,7 +137,6 @@ def test_04_bound_soundness_and_prune_ab(monkeypatch):
             f"bound >= alpha on {checked} graphs; prune A/B equal on {ab}")
 
 
-@pytest.mark.slow
 def test_05_kernel_fixpoint():
     for seed in range(50):
         g = gnm_graph(seed, 500, 1500)

@@ -1,12 +1,15 @@
 """Differential checks on generated graphs: variants, scheduling modes, the
-kernel round trip against the solver, and the meta rule's subsolve and weight
-tests against the brute-force oracle."""
+kernel round trip against the solver, the meta rule's subsolve and weight
+tests against the brute-force oracle, and the local search's worklist
+descent against the full sweep it replays."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import copy_graph
-from mwis import (ReductionEngine, SolverConfig, WeightedGraph,
+import ls_reference
+from helpers import copy_graph, gnm_graph
+from mwis import (LsState, ReductionEngine, SolverConfig, WeightedGraph,
                   brute_force_mwis, oracle, reduce_to_kernel, reductions, solve)
 from mwis.solution import verify_independent_set
 
@@ -72,3 +75,50 @@ def test_meta_rule_matches_unfiltered_rule(g):
             assert eng.neighbor_removal_meta(v, u) is want
             assert g.is_alive(u) is not want
             eng.rollback(mark)
+
+
+@st.composite
+def sparse_graphs(draw, max_n=40, max_w=6):
+    n = draw(st.integers(1, max_n))
+    weights = draw(st.lists(st.integers(1, max_w), min_size=n, max_size=n))
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), min_size=n // 2, max_size=3 * n))
+    return WeightedGraph(weights, {(min(u, v), max(u, v)) for u, v in pairs if u != v})
+
+
+ls_graphs = (sparse_graphs() | sparse_graphs(max_w=10**6) | small_graphs(max_w=10**6)).filter(
+    lambda g: g.n_alive > 0)
+ls_ops = st.lists(st.tuples(st.sampled_from(["rounds"] * 4 + ["omega", "swap"]),
+                            st.integers(0, 60)), min_size=1, max_size=6)
+
+
+def _same_search(new, ref):
+    assert [int(x) for x in new.in_sol] == [int(x) for x in ref.in_sol]
+    assert [int(x) for x in new.best_sol] == [int(x) for x in ref.best_sol]
+    assert [int(x) for x in new.state[:ls_reference.STATE_LEN]] == [int(x) for x in ref.state]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ls_graphs, st.integers(0, 2**64), ls_ops)
+def test_worklist_descent_replays_the_sweep(g, seed, ops):
+    new, ref = LsState(g, seed=seed), ls_reference.SweepLs(g, seed=seed)
+    for op, k in ops:
+        if op == "rounds":
+            new.run_rounds(k)
+            ref.run_rounds(k)
+        else:  # a manual move, then the search resumes from it
+            v = k % g.n_alive
+            move = "omega_one_swap" if op == "omega" else "weighted_one_two_swap"
+            assert getattr(new, move)(v) == getattr(ref, move)(v)
+        _same_search(new, ref)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_worklist_descent_replays_the_sweep_on_larger_graphs(seed):
+    # many moves per pass, so marks raised ahead of the cursor matter
+    g = gnm_graph(seed, 300, 750)
+    new, ref = LsState(g, seed=seed), ls_reference.SweepLs(g, seed=seed)
+    for k in (0, 1, 30, 33):
+        new.run_rounds(k)
+        ref.run_rounds(k)
+        _same_search(new, ref)

@@ -245,6 +245,18 @@ def test_cli_solve_takes_weights_past_int64(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["weight"] == 2**63
 
 
+def test_cli_hybrid_completes_a_kernel_past_int64_greedily(tmp_path, capsys):
+    g = random_graph(3, 30, 0.5)
+    heavy = WeightedGraph([g.weight(v) << 55 for v in range(g.n_alive)],
+                          [(u, v) for u in range(g.n_alive) for v in g.neighbors(u) if u < v])
+    gpath = tmp_path / "heavy.graph"
+    gpath.write_text(graph_io.serialize_graph(heavy))
+    assert main(["hybrid", str(gpath), "--iterations", "5"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["kernel_n"] > 0 and rec["weight"] > 2**63 - 1
+    assert verify_independent_set(heavy, [v - 1 for v in rec["solution"]]) == rec["weight"]
+
+
 def test_console_script_entry_point(edge_graph):
     out = subprocess.run([sys.executable, "-m", "mwis.cli", "solve", str(edge_graph)],
                          capture_output=True, text=True)

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from helpers import path_graph, random_graph
+from helpers import cubic_graph, path_graph, random_graph
 from mwis import GraphError, LsState, WeightedGraph, brute_force_mwis, ils_run
 from mwis.solution import verify_independent_set
 
@@ -106,14 +106,19 @@ def test_deterministic_given_seed_and_budget():
 
 
 def test_chunking_does_not_change_the_trajectory():
-    g = random_graph(4, 16, 0.3)
-    st1 = LsState(g, seed=5)
-    st1.run_rounds(100)
-    st2 = LsState(g, seed=5)
-    for _ in range(10):
-        st2.run_rounds(10)
-    assert st1.best_weight == st2.best_weight
-    assert st1.best_vertices() == st2.best_vertices()
+    # on the large graph a round touches few vertices, so the descent's
+    # worklist must carry over between calls
+    for g, chunk, chunks in ((random_graph(4, 16, 0.3), 10, 10),
+                             (cubic_graph(7, 2000), 1, 64)):
+        st1 = LsState(g, seed=5)
+        st1.run_rounds(chunk * chunks)
+        st2 = LsState(g, seed=5)
+        for _ in range(chunks):
+            st2.run_rounds(chunk)
+        assert st1.best_weight == st2.best_weight
+        assert st1.best_vertices() == st2.best_vertices()
+        assert st1.current_vertices() == st2.current_vertices()
+        assert list(st1.state) == list(st2.state)
 
 
 @pytest.mark.slow
