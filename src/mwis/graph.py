@@ -242,6 +242,23 @@ class WeightedGraph:
             comps.append(comp)
         return comps
 
+    def alive_csr(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """Snapshot of the alive graph in compressed sparse rows.
+
+        Returns ``(xadj, adj, weights, verts)``: ``verts`` lists the alive ids
+        ascending and local index ``i`` stands for ``verts[i]``; the neighbors
+        of ``i`` are ``adj[xadj[i]:xadj[i + 1]]``, ascending, and its weight is
+        ``weights[i]``.  Later edits are not seen.
+        """
+        verts = [v for v in range(len(self._w)) if self._alive[v]]
+        index = {v: i for i, v in enumerate(verts)}
+        xadj = [0]
+        adj: list[int] = []
+        for v in verts:
+            adj.extend(map(index.__getitem__, self._adj[v]))
+            xadj.append(len(adj))
+        return xadj, adj, [self._w[v] for v in verts], verts
+
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["WeightedGraph", list[int]]:
         """Copy of the subgraph induced by ``vertices``.
 

@@ -40,19 +40,6 @@ from .solution import Solution
 _CHUNK_ROUNDS = 32
 
 
-def _csr_of(graph: WeightedGraph) -> tuple[list[int], list[int], list[int], list[int]]:
-    verts = sorted(graph.alive_vertices())
-    index = {v: i for i, v in enumerate(verts)}
-    xadj = [0]
-    adj: list[int] = []
-    for v in verts:
-        adj.extend(map(index.__getitem__, graph.neighbors(v)))
-        xadj.append(len(adj))
-    weights = [graph.weight(v) for v in verts]
-    check_total_weight(weights)
-    return xadj, adj, weights, verts
-
-
 def _buffer(values: list[int], dtype) -> list[int] | np.ndarray:
     """A core buffer: a numpy array for numba to compile against, else the
     list itself, which interpreted code indexes several times faster."""
@@ -69,7 +56,8 @@ class LsState:
     """
 
     def __init__(self, graph: WeightedGraph, seed: int = 0):
-        xadj, adj, w, self.verts = _csr_of(graph)
+        xadj, adj, w, self.verts = graph.alive_csr()
+        check_total_weight(w)
         n = len(self.verts)
         self._index = {v: i for i, v in enumerate(self.verts)}
         order = sorted(range(n), key=w.__getitem__, reverse=True)  # stable, so ties keep index order

@@ -173,7 +173,9 @@ class ReductionEngine:
     queues stay sound.  ``checkpoint``/``rollback`` mirror the graph's and
     additionally truncate the record stack; queues are simply cleared on
     rollback, which is correct because the engine only reduces immediately
-    after edits (rolled-back edits leave nothing pending).
+    after edits (rolled-back edits leave nothing pending).  The engine also
+    keeps the critical-set rule's last flow as the warm start of its next
+    one, and the graph mark at which that rule is known not to fire.
     """
 
     def __init__(self, graph: WeightedGraph, variant: str = "full",
@@ -190,6 +192,8 @@ class ReductionEngine:
         self.stats: Counter = Counter() if stats is None else stats
         self._queues = {rule: ([], set()) for rule in LOCAL_RULES}
         self._clique_degree_cap: int | None = None
+        self._cwis_flow: list[tuple[int, int, int]] = []
+        self._cwis_idle_mark = -1
         for v in graph.alive_vertices():
             self.touch(v)
 
@@ -262,6 +266,7 @@ class ReductionEngine:
         self.g.rollback(gmark)
         del self.records[nrec:]
         self.offset = offset
+        self._cwis_idle_mark = -1
         for heap, members in self._queues.values():
             heap.clear()
             members.clear()
@@ -289,7 +294,7 @@ class ReductionEngine:
                 return
             rule = rules[i]
             if rule == CRITICAL_RULE:
-                changed = self.cwis_reduction()
+                changed = self.cwis_reduction(deadline)
             else:
                 changed = self._drain(rule, deadline)
             i = 0 if changed else i + 1
@@ -590,25 +595,34 @@ class ReductionEngine:
         self.remove_vertex(u)
         return True
 
-    def cwis_reduction(self) -> bool:
-        """Force in a critical weighted independent set found by min cut."""
-        if self.g.n_alive == 0:
+    def cwis_reduction(self, deadline: float | None = None) -> bool:
+        """Force in a critical weighted independent set found by min cut.
+
+        The flow starts from the previous call's and gives up at
+        ``deadline``, firing nothing.  It is not run on a graph left unedited
+        since the rule last fired or found nothing, which holds no set of
+        positive value (see :mod:`mwis.critical`); log marks identify the
+        graph until a rollback."""
+        g = self.g
+        if g.n_alive == 0 or g.checkpoint() == self._cwis_idle_mark:
             return False
-        chosen, value = critical_weighted_set(self.g)
+        found = critical_weighted_set(g, self._cwis_flow, deadline)
+        if found is None:
+            return False
+        chosen, value = found
         if value <= 0 or not chosen:
+            self._cwis_idle_mark = g.checkpoint()
             return False
-        nbhd = set(self._fringe(chosen))
-        core = sorted(x for x in chosen if x not in nbhd)
-        if not core:
-            return False
+        nbhd = self._fringe(chosen)  # chosen is independent, so this is N(chosen)
         self.stats[CRITICAL_RULE] += 1
         self._push_record(FoldRecord(
-            rule="cwis", consumed=tuple(sorted(set(core) | nbhd)),
-            offset=sum(self.g.weight(x) for x in core), forced=tuple(core)))
-        for x in sorted(nbhd):
+            rule="cwis", consumed=tuple(sorted(chosen + nbhd)),
+            offset=sum(g.weight(x) for x in chosen), forced=tuple(chosen)))
+        for x in nbhd:
             self.remove_vertex(x)
-        for x in core:
+        for x in chosen:
             self.remove_vertex(x)
+        self._cwis_idle_mark = g.checkpoint()
         return True
 
 

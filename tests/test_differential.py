@@ -1,23 +1,28 @@
 """Differential checks on generated graphs: variants, scheduling modes, the
 kernel round trip against the solver, the meta rule's subsolve and weight
-tests against the brute-force oracle, and the local search's worklist
-descent against the full sweep it replays."""
+tests against the brute-force oracle, the local search's worklist descent
+against the full sweep it replays, and the critical-set flow, cold and warm
+started, against the generic max flow it replaced."""
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flow_reference
 import ls_reference
 from helpers import copy_graph, gnm_graph
 from mwis import (LsState, ReductionEngine, SolverConfig, WeightedGraph,
-                  brute_force_mwis, oracle, reduce_to_kernel, reductions, solve)
+                  brute_force_mwis, critical_weighted_set, oracle,
+                  reduce_to_kernel, reductions, solve)
 from mwis.solution import verify_independent_set
 
 
 @st.composite
-def small_graphs(draw, max_n=12, max_w=6):
+def small_graphs(draw, max_n=12, max_w=6, min_w=1):
     n = draw(st.integers(0, max_n))
-    weights = draw(st.lists(st.integers(1, max_w), min_size=n, max_size=n))  # ties are common
+    weights = draw(st.lists(st.integers(min_w, max_w), min_size=n, max_size=n))  # ties are common
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return WeightedGraph(weights, [e for e, k in zip(pairs, keep) if k])
@@ -78,9 +83,9 @@ def test_meta_rule_matches_unfiltered_rule(g):
 
 
 @st.composite
-def sparse_graphs(draw, max_n=40, max_w=6):
+def sparse_graphs(draw, max_n=40, max_w=6, min_w=1):
     n = draw(st.integers(1, max_n))
-    weights = draw(st.lists(st.integers(1, max_w), min_size=n, max_size=n))
+    weights = draw(st.lists(st.integers(min_w, max_w), min_size=n, max_size=n))
     ends = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(ends, ends), min_size=n // 2, max_size=3 * n))
     return WeightedGraph(weights, {(min(u, v), max(u, v)) for u, v in pairs if u != v})
@@ -122,3 +127,58 @@ def test_worklist_descent_replays_the_sweep_on_larger_graphs(seed):
         new.run_rounds(k)
         ref.run_rounds(k)
         _same_search(new, ref)
+
+
+flow_graphs = st.one_of(*(maker(max_n=30, max_w=hi, min_w=lo)
+                          for maker in (small_graphs, sparse_graphs)
+                          for lo, hi in ((1, 6), (1, 10**6), (2**64, 2**66))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(flow_graphs)
+def test_flow_matches_reference(g):
+    assert critical_weighted_set(g) == flow_reference.critical_weighted_set(g)
+
+
+engine_ops = st.lists(st.tuples(st.sampled_from(
+    ["include", "exclude", "reduce", "cwis", "cwis", "checkpoint", "rollback"]),
+    st.integers(0, 10**6)), min_size=1, max_size=14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_graphs(max_n=24) | sparse_graphs(max_n=24, max_w=10**6), engine_ops)
+def test_warm_started_flows_match_cold_calls(g, ops):
+    flows = []
+
+    def spy(graph, flow=None, deadline=None):
+        cold = critical_weighted_set(graph)
+        warm = critical_weighted_set(graph, flow, deadline)
+        assert warm == cold
+        flows.append(warm)
+        return warm
+
+    eng = ReductionEngine(g)
+    marks = []
+    # True while the graph is unedited since a critical-set call that fired
+    # or found nothing, when that rule cannot fire and runs no flow
+    settled = False
+    with mock.patch.object(reductions, "critical_weighted_set", spy):
+        for op, k in ops:
+            alive = sorted(g.alive_vertices())
+            if op in ("include", "exclude") and alive:
+                v = alive[k % len(alive)]
+                eng.include_vertex(v) if op == "include" else eng.exclude_vertex(v)
+                settled = False
+            elif op == "reduce":
+                eng.reduce()  # full variant: ends on a critical-set call that did not fire
+                settled = True
+            elif op == "cwis":
+                before = len(flows)
+                eng.cwis_reduction()
+                assert len(flows) - before == (0 if settled or not alive else 1)
+                settled = True
+            elif op == "checkpoint":
+                marks.append(eng.checkpoint())
+            elif op == "rollback" and marks:
+                eng.rollback(marks.pop())
+                settled = False

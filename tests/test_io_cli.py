@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import mwis
 
 from helpers import random_graph
 from mwis import ParseError, WeightedGraph, brute_force_mwis, lift_solution
@@ -258,7 +262,11 @@ def test_cli_hybrid_completes_a_kernel_past_int64_greedily(tmp_path, capsys):
 
 
 def test_console_script_entry_point(edge_graph):
+    # the subprocess must import the package this suite imported, installed or not
+    package_root = str(Path(mwis.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
     out = subprocess.run([sys.executable, "-m", "mwis.cli", "solve", str(edge_graph)],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert json.loads(out.stdout)["weight"] == 5

@@ -6,7 +6,8 @@ from helpers import (clique_graph, copy_graph, cycle_graph, path_graph,
                      random_graph, random_tree, star_graph, structured_family,
                      twin_gadget_graph)
 from mwis import (CertificateError, ReductionEngine, WeightedGraph,
-                  brute_force_mwis, lift_solution, reduce_to_kernel)
+                  brute_force_mwis, critical_weighted_set, lift_solution,
+                  reduce_to_kernel)
 from mwis import reductions
 from mwis.solution import verify_independent_set
 
@@ -368,6 +369,26 @@ def test_cwis_star():
     assert eng.cwis_reduction()
     assert eng.offset == 6
     assert lift_solution((), eng.records) == {1, 2, 3}
+
+
+def test_cwis_flow_runs_only_when_it_can_fire(monkeypatch):
+    calls = []
+
+    def spy(graph, flow=None, deadline=None):
+        calls.append(graph.n_alive)
+        return critical_weighted_set(graph, flow, deadline)
+
+    monkeypatch.setattr(reductions, "critical_weighted_set", spy)
+    # an edge the rule takes apart, next to a unit triangle it cannot reduce
+    g = WeightedGraph([5, 1, 1, 1, 1], [(0, 1), (2, 3), (2, 4), (3, 4)])
+    eng = ReductionEngine(g)
+    assert eng.cwis_reduction() and g.n_alive == 3
+    assert not eng.cwis_reduction() and calls == [5]  # nothing left to find
+    eng.rollback(eng.checkpoint())  # even an empty rollback forgets that
+    assert not eng.cwis_reduction() and calls == [5, 3]
+    assert not eng.cwis_reduction() and calls == [5, 3]
+    eng.exclude_vertex(2)
+    assert not eng.cwis_reduction() and calls == [5, 3, 2]
 
 
 # ----------------------------------------------------------------------

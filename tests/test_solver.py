@@ -5,7 +5,7 @@ import time
 import pytest
 
 import mwis.solver
-from helpers import (clique_graph, path_graph, random_graph, star_graph,
+from helpers import (clique_graph, cubic_graph, path_graph, random_graph, star_graph,
                      structured_family)
 from mwis import (CertificateError, SolverConfig, WeightedGraph,
                   brute_force_mwis, greedy_complete, select_branch_vertex,
@@ -167,6 +167,18 @@ def test_timeout_returns_verified_nonoptimal():
     assert weights == sorted(set(weights)) and weights
     times = [t for t, _ in r.convergence]
     assert times == sorted(times)
+
+
+def test_timeout_overshoot_does_not_grow_with_the_graph():
+    # one critical-set flow on this graph takes seconds, so an uninterruptible
+    # flow would overrun the limit several times over
+    g = cubic_graph(1, 30000, wmax=1)
+    t0 = time.monotonic()
+    r = solve(g, SolverConfig(time_limit=2.0))
+    elapsed = time.monotonic() - t0
+    assert elapsed < 2.5
+    assert not r.solution.optimal
+    verify_solution(g, r.solution)
 
 
 def test_fast_instance_finishes_under_limit():
