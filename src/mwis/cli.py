@@ -175,19 +175,43 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _read_solution(path, n: int) -> tuple[list[int], int | None]:
+    """1-based vertex ids and claimed weight (``None`` when not given) of a
+    solution file: a JSON result record, or whitespace-separated ids."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read().strip()
+    if text.startswith(("{", "[")):
+        try:
+            record = json.loads(text)
+            ids, claimed = record["solution"], record.get("weight")
+        except (json.JSONDecodeError, TypeError, KeyError):
+            raise ParseError("a JSON solution must be an object with a 'solution' list") from None
+        if not isinstance(ids, list) or not all(type(v) is int for v in ids):
+            raise ParseError("the 'solution' field must be a list of integer ids")
+        if claimed is not None and type(claimed) is not int:
+            raise ParseError(f"claimed weight {claimed!r} is not an integer")
+    else:
+        ids, claimed = [], None
+        for tok in text.split():
+            try:
+                ids.append(int(tok))
+            except ValueError:
+                raise ParseError(f"solution id {tok!r} is not an integer") from None
+    seen = set()
+    for v in ids:
+        if not 1 <= v <= n:
+            raise ParseError(f"solution id {v} out of range 1..{n}")
+        if v in seen:
+            raise ParseError(f"solution id {v} is listed twice")
+        seen.add(v)
+    return ids, claimed
+
+
 def cmd_verify(args) -> int:
     g = _load_graph(args)
-    with open(args.solution, "r", encoding="utf-8") as fh:
-        text = fh.read().strip()
-    claimed_weight = None
-    try:
-        record = json.loads(text)
-        ids = record["solution"]
-        claimed_weight = record.get("weight")
-    except (json.JSONDecodeError, TypeError, KeyError):
-        ids = [int(tok) for tok in text.split()]
+    ids, claimed_weight = _read_solution(args.solution, g.n_alive)
     vertices = tuple(sorted(v - 1 for v in ids))
-    weight = sum(g.weight(v) for v in vertices) if all(g.is_alive(v) for v in vertices) else 0
+    weight = sum(g.weight(v) for v in vertices)
     solution = Solution(vertices, claimed_weight if claimed_weight is not None else weight)
     verify_solution(g, solution)
     print(f"OK independent set of weight {solution.weight} ({len(vertices)} vertices)")

@@ -78,10 +78,10 @@ def critical_weighted_set(graph: WeightedGraph,
     :class:`InternalError` if the cut fails its own certificate, which would
     indicate a bug.
     """
-    xadj, adj, w, verts = graph.alive_csr()
+    xadj, adj, w, verts, index = graph.alive_csr()
     cs, ct, f = w[:], w[:], [0] * len(adj)
     if flow:
-        _clip(flow, verts, xadj, adj, cs, ct, f)
+        _clip(flow, index, xadj, adj, cs, ct, f)
     _saturate_short_paths(xadj, adj, cs, ct, f)
     reach = _max_flow(xadj, adj, _reverse_arcs(xadj, adj), cs, ct, f, deadline)
     if flow is not None:
@@ -106,9 +106,8 @@ def critical_weighted_set(graph: WeightedGraph,
     return chosen, value
 
 
-def _clip(flow, verts, xadj, adj, cs, ct, f) -> None:
+def _clip(flow, index, xadj, adj, cs, ct, f) -> None:
     """Load the arc flows of an earlier call that the current graph admits."""
-    index = {v: i for i, v in enumerate(verts)}
     for u, v, amount in flow:
         i, j = index.get(u), index.get(v)
         if i is None or j is None:

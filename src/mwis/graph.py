@@ -242,22 +242,38 @@ class WeightedGraph:
             comps.append(comp)
         return comps
 
-    def alive_csr(self) -> tuple[list[int], list[int], list[int], list[int]]:
+    def alive_csr(self, vertices: Iterable[int] | None = None
+                  ) -> tuple[list[int], list[int], list[int], list[int], dict[int, int]]:
         """Snapshot of the alive graph in compressed sparse rows.
 
-        Returns ``(xadj, adj, weights, verts)``: ``verts`` lists the alive ids
-        ascending and local index ``i`` stands for ``verts[i]``; the neighbors
-        of ``i`` are ``adj[xadj[i]:xadj[i + 1]]``, ascending, and its weight is
-        ``weights[i]``.  Later edits are not seen.
+        Returns ``(xadj, adj, weights, verts, index)``: ``verts`` lists the
+        alive ids ascending and local index ``i`` stands for ``verts[i]``;
+        ``index`` maps each of those ids back to its local index.  The
+        neighbors of ``i`` are ``adj[xadj[i]:xadj[i + 1]]``, ascending, and
+        its weight is ``weights[i]``.  Given ``vertices``, the snapshot is of
+        the subgraph they induce instead, ``verts`` holding them ascending
+        without repeats; a dead or out-of-range id raises :class:`GraphError`.
+        Later edits are not seen.  This is the one place that renumbers
+        graph ids into dense local ones.
         """
-        verts = [v for v in range(len(self._w)) if self._alive[v]]
+        if vertices is None:
+            verts = [v for v in range(len(self._w)) if self._alive[v]]
+        else:
+            verts = sorted(set(vertices))
+            for v in verts:
+                self._require_alive(v)
         index = {v: i for i, v in enumerate(verts)}
         xadj = [0]
         adj: list[int] = []
-        for v in verts:
-            adj.extend(map(index.__getitem__, self._adj[v]))
-            xadj.append(len(adj))
-        return xadj, adj, [self._w[v] for v in verts], verts
+        if vertices is None:
+            for v in verts:
+                adj.extend(map(index.__getitem__, self._adj[v]))
+                xadj.append(len(adj))
+        else:
+            for v in verts:
+                adj.extend([index[u] for u in self._adj[v] if u in index])
+                xadj.append(len(adj))
+        return xadj, adj, [self._w[v] for v in verts], verts, index
 
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["WeightedGraph", list[int]]:
         """Copy of the subgraph induced by ``vertices``.
@@ -265,17 +281,10 @@ class WeightedGraph:
         Returns the new graph plus the list mapping its local ids back to
         ids of ``self``.
         """
-        verts = sorted(set(vertices))
-        for v in verts:
-            self._require_alive(v)
-        index = {v: i for i, v in enumerate(verts)}
-        sub = WeightedGraph([self._w[v] for v in verts])
-        m = 0
-        for v in verts:
-            av = [index[u] for u in self._adj[v] if u in index]
-            sub._adj[index[v]] = av
-            m += len(av)
-        sub._m_alive = m // 2
+        xadj, adj, weights, verts, _ = self.alive_csr(vertices)
+        sub = WeightedGraph(weights)
+        sub._adj = [adj[xadj[i]:xadj[i + 1]] for i in range(len(verts))]
+        sub._m_alive = len(adj) // 2
         return sub, verts
 
     def compact_copy(self) -> tuple["WeightedGraph", list[int]]:

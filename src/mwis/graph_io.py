@@ -91,6 +91,7 @@ def parse_graph_text(text: str) -> WeightedGraph:
 
     weights = [1] * n
     adj: list[list[int]] = [[] for _ in range(n)]
+    listed: list[set[int]] = []  # the 1-based ids on each vertex line
     mentions = 0
     for v in range(n):
         lineno, line = content[v + 1]
@@ -108,7 +109,8 @@ def parse_graph_text(text: str) -> WeightedGraph:
                 raise ParseError(f"vertex {v + 1}: weight must be >= 1, got {w}", lineno)
             weights[v] = w
             tokens = tokens[1:]
-        seen = set()
+        seen: set[int] = set()
+        listed.append(seen)
         for tok in tokens:
             try:
                 u = int(tok)
@@ -132,10 +134,11 @@ def parse_graph_text(text: str) -> WeightedGraph:
             f"header claims {m} edges but the body mentions {mentions} endpoints")
     for v in range(n):
         for u in adj[v]:
-            if v not in adj[u]:
+            if v + 1 not in listed[u]:
                 raise ParseError(
                     f"asymmetric edge: vertex {v + 1} lists {u + 1} but not vice versa",
                     content[u + 1][0])
+    del listed  # freed before the graph is built, to keep the peak memory down
     edges = [(v, u) for v in range(n) for u in adj[v] if v < u]
     return WeightedGraph(weights, edges)
 
@@ -147,12 +150,11 @@ def parse_graph(path) -> WeightedGraph:
 
 def serialize_graph(graph: WeightedGraph) -> str:
     """Write the alive subgraph, renumbered 1..n, in fmt=10."""
-    verts = sorted(graph.alive_vertices())
-    index = {v: i + 1 for i, v in enumerate(verts)}
-    lines = [f"{len(verts)} {graph.m_alive} 10"]
-    for v in verts:
-        nbrs = " ".join(str(index[u]) for u in graph.neighbors(v))
-        lines.append(f"{graph.weight(v)} {nbrs}".rstrip())
+    xadj, adj, weights, _, _ = graph.alive_csr()
+    lines = [f"{len(weights)} {graph.m_alive} 10"]
+    for i, w in enumerate(weights):
+        nbrs = " ".join(str(j + 1) for j in adj[xadj[i]:xadj[i + 1]])
+        lines.append(f"{w} {nbrs}".rstrip())
     return "\n".join(lines) + "\n"
 
 

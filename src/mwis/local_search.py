@@ -56,10 +56,9 @@ class LsState:
     """
 
     def __init__(self, graph: WeightedGraph, seed: int = 0):
-        xadj, adj, w, self.verts = graph.alive_csr()
+        xadj, adj, w, self.verts, self._index = graph.alive_csr()
         check_total_weight(w)
         n = len(self.verts)
-        self._index = {v: i for i, v in enumerate(self.verts)}
         order = sorted(range(n), key=w.__getitem__, reverse=True)  # stable, so ties keep index order
         pos = [0] * n
         for p, v in enumerate(order):

@@ -116,19 +116,12 @@ def mwis_weight_and_mask(adj_masks: np.ndarray, weights: np.ndarray) -> tuple[in
 
 
 def _masks_of(graph: WeightedGraph, vertices: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    weights = [graph.weight(v) for v in vertices]
+    """Neighbor bitmasks and weights of the subgraph ``vertices`` induce,
+    bit ``i`` standing for the ``i``-th smallest of them."""
+    xadj, adj, weights, _, _ = graph.alive_csr(vertices)
     check_total_weight(weights)
-    index = {v: i for i, v in enumerate(vertices)}
-    adj = np.zeros(len(vertices), dtype=np.int64)
-    for v in vertices:
-        i = index[v]
-        m = 0
-        for u in graph.neighbors(v):
-            j = index.get(u)
-            if j is not None:
-                m |= 1 << j
-        adj[i] = m
-    return adj, np.array(weights, dtype=np.int64)
+    masks = [sum(1 << j for j in adj[xadj[i]:xadj[i + 1]]) for i in range(len(weights))]
+    return np.array(masks, dtype=np.int64), np.array(weights, dtype=np.int64)
 
 
 def brute_force_mwis(graph: WeightedGraph) -> Solution:
@@ -149,11 +142,7 @@ def brute_force_mwis(graph: WeightedGraph) -> Solution:
 
 def subgraph_mwis_weight(graph: WeightedGraph, vertices) -> int:
     """Exact MWIS weight of the subgraph induced by ``vertices``."""
-    verts = sorted(set(vertices))
-    if not verts:
-        return 0
-    adj, w = _masks_of(graph, verts)
-    return mwis_weight_and_mask(adj, w)[0]
+    return mwis_weight_and_mask(*_masks_of(graph, vertices))[0]
 
 
 def brute_force_critical_set(graph: WeightedGraph) -> tuple[list[int], int]:

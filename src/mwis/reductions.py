@@ -10,10 +10,11 @@ fixpoint yields the kernel.
 Scheduling follows the incremental discipline: each local rule keeps a
 min-heap of vertices whose closed neighborhood changed since the rule last
 looked at them.  A rule drains its queue; whenever any rule changed the
-graph, scheduling restarts from the first rule.  The ``scan`` mode instead
-re-seeds each rule's queue with every alive vertex, which must produce the
-same kernel (the dirty-vertex bookkeeping only skips vertices whose check
-cannot have changed); the test suite asserts that equivalence.
+graph, scheduling restarts from the first rule.  The dirty-vertex
+bookkeeping only skips vertices whose check cannot have changed, so a
+scheduler that re-queues every alive vertex before each drain must produce
+the same kernel; the test suite keeps one as its reference and asserts that
+equivalence.
 
 Rule order (cheap local rules first, the global flow-based rule last):
 
@@ -65,15 +66,8 @@ def subgraph_mwis_weight(graph: WeightedGraph, vertices: Iterable[int]) -> int:
     including it first, and prunes when the weight left in the mask cannot
     beat the best set found.  Weights are Python ints, so any size is exact.
     """
-    verts = list(set(vertices))
-    index = {v: i for i, v in enumerate(verts)}
-    weight = [graph.weight(v) for v in verts]
-    adj = [0] * len(verts)
-    for i, v in enumerate(verts):
-        for u in graph.neighbors(v):
-            j = index.get(u)
-            if j is not None:
-                adj[i] |= 1 << j
+    xadj, nbrs, weight, _, _ = graph.alive_csr(vertices)
+    adj = [sum(1 << j for j in nbrs[xadj[i]:xadj[i + 1]]) for i in range(len(weight))]
     best = 0
 
     def branch(mask: int, acc: int) -> None:
@@ -101,7 +95,7 @@ def subgraph_mwis_weight(graph: WeightedGraph, vertices: Iterable[int]) -> int:
         branch(mask & ~(adj[pick] | bit), acc + weight[pick])
         branch(mask & ~bit, acc)
 
-    branch((1 << len(verts)) - 1, 0)
+    branch((1 << len(weight)) - 1, 0)
     return best
 
 
@@ -176,17 +170,16 @@ class ReductionEngine:
     after edits (rolled-back edits leave nothing pending).  The engine also
     keeps the critical-set rule's last flow as the warm start of its next
     one, and the graph mark at which that rule is known not to fire.
+    There is one scheduler; the tests' reference scheduler is a subclass
+    whose ``_drain`` re-queues every alive vertex first.
     """
 
     def __init__(self, graph: WeightedGraph, variant: str = "full",
-                 mode: str = "queue", stats: Counter | None = None):
+                 stats: Counter | None = None):
         if variant not in ("full", "dense"):
             raise ValueError(f"unknown variant {variant!r}")
-        if mode not in ("queue", "scan"):
-            raise ValueError(f"unknown reduction mode {mode!r}")
         self.g = graph
         self.variant = variant
-        self.mode = mode
         self.records: list[FoldRecord] = []
         self.offset = 0
         self.stats: Counter = Counter() if stats is None else stats
@@ -301,11 +294,6 @@ class ReductionEngine:
 
     def _drain(self, rule: str, deadline: float | None) -> bool:
         heap, members = self._queues[rule]
-        if self.mode == "scan":
-            for v in self.g.alive_vertices():
-                if v not in members:
-                    members.add(v)
-                    heapq.heappush(heap, v)
         # Looked up on every drain, not cached: a wrapper installed on the
         # class (tracing counts rule calls this way) must take effect.
         apply_at = getattr(self, "_try_" + rule)
@@ -365,8 +353,11 @@ class ReductionEngine:
     # ------------------------------------------------------------------
     # The rules.  ``_try_<rule>(v)`` performs at most one application and
     # reports whether the graph changed; the spec-shaped pair operations
-    # are public for direct use in tests.  A one-vertex rule is its own
-    # ``_try_`` entry through a class alias, which tracing can wrap alone.
+    # are public for direct use in tests.  A pair operation edits the graph
+    # only when it returns True, and its wrapper then returns at once, so
+    # the wrapper may loop over the live neighbor list.  A one-vertex rule
+    # is its own ``_try_`` entry through a class alias, which tracing can
+    # wrap alone.
     # ------------------------------------------------------------------
 
     def neighborhood_removal(self, v: int) -> bool:
@@ -380,39 +371,22 @@ class ReductionEngine:
     _try_neighborhood_removal = neighborhood_removal
 
     def _try_weighted_domination(self, v: int) -> bool:
-        g = self.g
-        wv = g.weight(v)
-        dv = g.degree(v)
-        for u in list(g.neighbors(v)):
-            if not g.is_alive(u):
-                continue
-            wu = g.weight(u)
-            u_covers = g.degree(u) >= dv and self._covers(g.neighbors(u), g.neighbors(v), skip=u)
-            v_covers = dv >= g.degree(u) and self._covers(g.neighbors(v), g.neighbors(u), skip=v)
-            drop_u = u_covers and wu <= wv
-            drop_v = v_covers and wv <= wu
-            if drop_u and drop_v:
-                # Mutual domination with equal weights: keep the lower id.
-                if self.weighted_domination(max(u, v), min(u, v)):
-                    return True
-            elif drop_u:
-                if self.weighted_domination(u, v):
-                    return True
-            elif drop_v:
-                if self.weighted_domination(v, u):
-                    return True
-            if not g.is_alive(v):
-                return False
+        for u in self.g.neighbors(v):
+            # The higher id is tried first, so of two equal-weight true twins
+            # the lower id stays.
+            hi, lo = (u, v) if u > v else (v, u)
+            if self.weighted_domination(hi, lo) or self.weighted_domination(lo, hi):
+                return True
         return False
 
     def weighted_domination(self, u: int, v: int) -> bool:
         """Remove ``u`` when ``N[u]`` covers ``N[v]`` and ``w(u) <= w(v)``."""
         g = self.g
-        if u == v or not g.has_edge(u, v):
-            return False
-        if g.weight(u) > g.weight(v):
-            return False
+        if g.weight(u) > g.weight(v) or g.degree(u) < g.degree(v):
+            return False  # the cover needs deg(u) >= deg(v)
         if not self._covers(g.neighbors(u), g.neighbors(v), skip=u):
+            return False
+        if u == v or not g.has_edge(u, v):
             return False
         self.remove_vertex(u)
         return True
@@ -554,16 +528,9 @@ class ReductionEngine:
     _try_neighborhood_folding = neighborhood_folding
 
     def _try_neighbor_removal_meta(self, v: int) -> bool:
-        g = self.g
-        for u in list(g.neighbors(v)):
-            if not g.is_alive(u):
-                continue
-            if self.neighbor_removal_meta(v, u):
+        for u in self.g.neighbors(v):
+            if self.neighbor_removal_meta(v, u) or self.neighbor_removal_meta(u, v):
                 return True
-            if self.neighbor_removal_meta(u, v):
-                return True
-            if not g.is_alive(v):
-                return False
         return False
 
     def neighbor_removal_meta(self, v: int, u: int) -> bool:

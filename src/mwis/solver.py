@@ -108,15 +108,13 @@ def greedy_complete(graph: WeightedGraph, partial=()) -> Solution:
 class _Ctx:
     """Incumbent state of one (sub)problem: a graph plus its engine."""
 
-    __slots__ = ("engine", "best_w", "best_set", "ils_done", "reduced_once",
-                 "index", "on_improve")
+    __slots__ = ("engine", "best_w", "best_set", "entered", "index", "on_improve")
 
     def __init__(self, engine: ReductionEngine, index: int, on_improve=None):
         self.engine = engine
         self.best_w = 0
         self.best_set: set[int] | None = None
-        self.ils_done = False
-        self.reduced_once = False
+        self.entered = False  # set when the context's first node is entered
         self.index = index
         self.on_improve = on_improve
 
@@ -210,15 +208,15 @@ class _Machine:
         if self.stats.nodes & _TIMEOUT_CHECK_MASK == 0:
             self._check_deadline()
         fr.ckpt0 = eng.checkpoint()
-        initial = ctx is self.root and not ctx.reduced_once
+        first = not ctx.entered
+        ctx.entered = True
+        initial = first and ctx is self.root
         eng.reduce(initial=initial, deadline=self.deadline)
-        ctx.reduced_once = True
         if initial:
             self.kernel_n = eng.g.n_alive
             self.kernel_m = eng.g.m_alive
         self._check_deadline()
-        if not ctx.ils_done and ctx.best_w == 0:
-            ctx.ils_done = True
+        if first:
             self._ils_bound(ctx)
         g = eng.g
         if g.n_alive == 0:

@@ -1,8 +1,9 @@
 """Deterministic graph builders shared by the tests."""
 
+import heapq
 import random
 
-from mwis import WeightedGraph
+from mwis import ReductionEngine, WeightedGraph
 
 
 def random_graph(seed, n, p, wmax=200):
@@ -84,10 +85,20 @@ def twin_gadget_graph(seed, wmax=8):
 
 
 def copy_graph(g):
-    verts = sorted(g.alive_vertices())
-    index = {v: i for i, v in enumerate(verts)}
-    edges = [(index[u], index[v]) for u in verts for v in g.neighbors(u) if u < v]
-    return WeightedGraph([g.weight(v) for v in verts], edges)
+    return g.compact_copy()[0]
+
+
+class ScanEngine(ReductionEngine):
+    """Reference scheduler: re-queues every alive vertex before each drain,
+    so it checks every rule everywhere instead of at dirty vertices only."""
+
+    def _drain(self, rule, deadline):
+        heap, members = self._queues[rule]
+        for v in self.g.alive_vertices():
+            if v not in members:
+                members.add(v)
+                heapq.heappush(heap, v)
+        return super()._drain(rule, deadline)
 
 
 def structured_family(wmax=200):

@@ -11,9 +11,9 @@ import time
 
 import pytest
 
-from helpers import (clique_graph, copy_graph, cycle_graph, gnm_graph,
-                     path_graph, random_graph, random_tree, star_graph,
-                     structured_family, twin_gadget_graph)
+from helpers import (ScanEngine, clique_graph, copy_graph, cycle_graph,
+                     gnm_graph, path_graph, random_graph, random_tree,
+                     star_graph, structured_family, twin_gadget_graph)
 from mwis import (ReductionEngine, SolverConfig,
                   brute_force_critical_set, brute_force_mwis,
                   clique_cover_bound, critical_weighted_set, ils_run,
@@ -141,7 +141,7 @@ def test_05_kernel_fixpoint():
     for seed in range(50):
         g = gnm_graph(seed, 500, 1500)
         reduce_to_kernel(g)
-        eng = ReductionEngine(g, mode="scan")
+        eng = ScanEngine(g)
         eng.reduce(initial=True)
         assert sum(eng.stats.values()) == 0, f"rule re-fired on kernel, seed {seed}"
     empty = 0

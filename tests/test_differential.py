@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import flow_reference
 import ls_reference
-from helpers import copy_graph, gnm_graph
+from helpers import ScanEngine, copy_graph, gnm_graph
 from mwis import (LsState, ReductionEngine, SolverConfig, WeightedGraph,
                   brute_force_mwis, critical_weighted_set, oracle,
                   reduce_to_kernel, reductions, solve)
@@ -36,8 +36,8 @@ def test_variants_and_modes_agree(g):
     assert weights["full"] == weights["dense"]
     for variant in ("full", "dense"):
         queue, scan = copy_graph(g), copy_graph(g)
-        eq = ReductionEngine(queue, variant=variant, mode="queue")
-        es = ReductionEngine(scan, variant=variant, mode="scan")
+        eq = ReductionEngine(queue, variant=variant)
+        es = ScanEngine(scan, variant=variant)
         eq.reduce(initial=True)
         es.reduce(initial=True)
         assert queue.canonical_serialization() == scan.canonical_serialization()

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,16 @@ def test_parse_self_loop_reports_line():
 def test_parse_asymmetric_rejected():
     with pytest.raises(ParseError, match="asymmetric"):
         graph_io.parse_graph_text("3 2 0\n2 3\n1 3\n\n")
+
+
+def test_parse_star_is_linear_in_hub_degree():
+    leaves = 40_000
+    text = (f"{leaves + 1} {leaves} 0\n" + " ".join(map(str, range(2, leaves + 2)))
+            + "\n" + "1\n" * leaves)
+    t0 = time.monotonic()
+    g = graph_io.parse_graph_text(text)
+    assert time.monotonic() - t0 < 2.0  # a quadratic symmetry check takes over 10 s
+    assert g.degree(0) == leaves
 
 
 def test_parse_bad_header():
@@ -163,6 +174,24 @@ def test_cli_verify_rejects_edge(edge_graph, tmp_path, capsys):
     sol.write_text("1 2\n")
     assert main(["verify", str(edge_graph), str(sol)]) == 1
     assert "edge 0-1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 x", "solution id 'x' is not an integer"),
+    ("[1]", "JSON solution must be an object"),
+    ('{"weight": 5}', "JSON solution must be an object"),
+    ('{"solution": ["1"]}', "list of integer ids"),
+    ('{"solution": [1], "weight": "5"}', "claimed weight '5' is not an integer"),
+    ("1 1", "solution id 1 is listed twice"),
+    ("0", "solution id 0 out of range 1..2"),
+    ("3", "solution id 3 out of range 1..2"),
+])
+def test_cli_verify_rejects_malformed_solution(edge_graph, tmp_path, capsys, text, message):
+    sol = tmp_path / "bad.txt"
+    sol.write_text(text + "\n")
+    assert main(["verify", str(edge_graph), str(sol)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_cli_reduce_and_external_lift(tmp_path, capsys):

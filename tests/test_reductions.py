@@ -2,9 +2,9 @@
 
 import pytest
 
-from helpers import (clique_graph, copy_graph, cycle_graph, path_graph,
-                     random_graph, random_tree, star_graph, structured_family,
-                     twin_gadget_graph)
+from helpers import (ScanEngine, clique_graph, copy_graph, cycle_graph,
+                     path_graph, random_graph, random_tree, star_graph,
+                     structured_family, twin_gadget_graph)
 from mwis import (CertificateError, ReductionEngine, WeightedGraph,
                   brute_force_mwis, critical_weighted_set, lift_solution,
                   reduce_to_kernel)
@@ -335,6 +335,10 @@ def test_domination_equal_true_twins_keep_lower_id():
     # afterwards everything else reduces away too
     assert eng.stats["weighted_domination"] >= 1
     check_alpha_preserved(WeightedGraph([4, 4, 1], [(0, 1), (0, 2), (1, 2)]), eng)
+    for v in (0, 1):  # whichever twin the rule is tried at, vertex 1 goes
+        g = WeightedGraph([4, 4, 1], [(0, 1), (0, 2), (1, 2)])
+        assert ReductionEngine(g)._try_weighted_domination(v)
+        assert list(g.alive_vertices()) == [0, 2]
 
 
 def test_domination_blocked_by_weight():
@@ -510,7 +514,7 @@ def test_fixpoint_no_rule_reapplies():
     for seed in range(15):
         g = random_graph(seed, 14, 0.3)
         reduce_to_kernel(g)
-        eng = ReductionEngine(g, mode="scan")
+        eng = ScanEngine(g)
         eng.reduce(initial=True)
         assert eng.offset == 0 and not eng.records
         assert sum(eng.stats.values()) == 0
@@ -521,8 +525,8 @@ def test_queue_equals_scan_scheduling():
         n = 1 + seed % 16
         g1 = random_graph(seed, n, 0.3)
         g2 = copy_graph(g1)
-        e1 = ReductionEngine(g1, mode="queue")
-        e2 = ReductionEngine(g2, mode="scan")
+        e1 = ReductionEngine(g1)
+        e2 = ScanEngine(g2)
         e1.reduce(initial=True)
         e2.reduce(initial=True)
         assert g1.canonical_serialization() == g2.canonical_serialization()
