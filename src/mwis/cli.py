@@ -1,10 +1,11 @@
 """Command-line surface.
 
 Subcommands: ``solve`` (branch-and-reduce), ``reduce`` (kernel + lifting
-sidecar export), ``ls`` (local search only), ``hybrid`` (reduce, then local
-search on the kernel, then lift), ``oracle`` (size-capped brute force),
-``verify`` (check a solution file against a graph), ``gen-weights``
-(deterministic weight assignment).
+sidecar export), ``lift`` (map a kernel solution back through the sidecar),
+``ls`` (local search only), ``hybrid`` (reduce, then local search on the
+kernel, then lift), ``oracle`` (size-capped brute force), ``verify`` (check
+a solution file against a graph), ``gen-weights`` (deterministic weight
+assignment).
 
 Every solving command prints a one-line JSON result record to stdout and
 optionally writes an ``elapsed_seconds,weight`` convergence CSV.  Timeouts
@@ -26,7 +27,7 @@ from .graph import MAX_TOTAL_WEIGHT, WeightedGraph
 from .local_search import ils_run
 from .oracle import brute_force_mwis
 from .reductions import lift_solution, reduce_to_kernel
-from .solution import Solution, verify_solution
+from .solution import Solution, verify_independent_set, verify_solution
 from .solver import SolverConfig, greedy_complete, solve
 
 
@@ -112,6 +113,31 @@ def cmd_reduce(args) -> int:
     return 0
 
 
+def cmd_lift(args) -> int:
+    g = _load_graph(args)
+    t0 = time.monotonic()
+    with open(args.lift, "r", encoding="utf-8") as fh:
+        offset, kernel_map, records = graph_io.read_lifting(fh)
+    ids, claimed = _read_solution(args.kernel_solution, len(kernel_map))
+    lifted = lift_solution([kernel_map[v - 1] for v in ids], records)
+    weight = verify_independent_set(g, lifted, base=1)
+    if claimed is not None and weight != claimed + offset:
+        raise CertificateError(
+            f"lifted weight {weight} is not the claimed kernel weight {claimed} "
+            f"plus the offset {offset}")
+    record = {
+        "instance": _instance_name(args),
+        "n": g.n_alive, "m": g.m_alive,
+        "weight": weight, "optimal": False,
+        "elapsed_sec": round(time.monotonic() - t0, 6),
+        "seed": args.seed, "variant": "lift",
+        "kernel_n": len(kernel_map), "offset": offset,
+        "solution": [v + 1 for v in sorted(lifted)],
+    }
+    _emit(record, args)
+    return 0
+
+
 def cmd_ls(args) -> int:
     g = _load_graph(args)
     if args.time_limit is None and args.iterations is None:
@@ -135,7 +161,7 @@ def cmd_hybrid(args) -> int:
     reduce_done = time.monotonic()
     convergence = [(reduce_done - t0, kr.offset)]
     kernel_sol: tuple[int, ...] = ()
-    if sum(kr.kernel.weight(v) for v in kr.kernel.alive_vertices()) > MAX_TOTAL_WEIGHT:
+    if kr.kernel.w_alive > MAX_TOTAL_WEIGHT:
         # the local search sums in int64; complete the kernel greedily instead
         greedy = greedy_complete(kr.kernel)
         kernel_sol = greedy.vertices
@@ -213,7 +239,7 @@ def cmd_verify(args) -> int:
     vertices = tuple(sorted(v - 1 for v in ids))
     weight = sum(g.weight(v) for v in vertices)
     solution = Solution(vertices, claimed_weight if claimed_weight is not None else weight)
-    verify_solution(g, solution)
+    verify_solution(g, solution, base=1)
     print(f"OK independent set of weight {solution.weight} ({len(vertices)} vertices)")
     return 0
 
@@ -243,6 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel-out", required=True, metavar="PATH")
     p.add_argument("--lift", required=True, metavar="PATH")
     p.set_defaults(fn=cmd_reduce)
+
+    p = sub.add_parser("lift", help="lift a kernel solution through a sidecar")
+    p.add_argument("graph", help="the graph that was reduced")
+    p.add_argument("kernel_solution", help="solution file of the kernel graph")
+    p.add_argument("--lift", required=True, metavar="PATH", help="sidecar from 'reduce'")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--weights", default=None)
+    p.set_defaults(fn=cmd_lift)
 
     p = sub.add_parser("ls", help="iterated local search only")
     _add_common(p)

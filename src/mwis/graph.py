@@ -46,7 +46,7 @@ def check_total_weight(weights: list[int]) -> None:
 class WeightedGraph:
     """Undirected graph with positive integer vertex weights and an edit log."""
 
-    __slots__ = ("_w", "_adj", "_alive", "_n_alive", "_m_alive", "_log")
+    __slots__ = ("_w", "_adj", "_alive", "_n_alive", "_m_alive", "_w_alive", "_log")
 
     def __init__(self, weights: Iterable[int], edges: Iterable[tuple[int, int]] = ()):
         self._w = [int(w) for w in weights]
@@ -58,6 +58,7 @@ class WeightedGraph:
         self._alive = [True] * n
         self._n_alive = n
         self._m_alive = 0
+        self._w_alive = sum(self._w)
         self._log: list[tuple] = []
         seen = set()
         for u, v in edges:
@@ -89,6 +90,11 @@ class WeightedGraph:
     @property
     def m_alive(self) -> int:
         return self._m_alive
+
+    @property
+    def w_alive(self) -> int:
+        """Total weight of the alive vertices."""
+        return self._w_alive
 
     def is_alive(self, v: int) -> bool:
         return 0 <= v < len(self._w) and self._alive[v]
@@ -135,13 +141,16 @@ class WeightedGraph:
         self._adj[v] = []
         self._alive[v] = False
         self._n_alive -= 1
+        self._w_alive -= self._w[v]
 
     def set_weight(self, v: int, w: int) -> None:
         self._require_alive(v)
         if w < 1:
             raise GraphError(f"weight of vertex {v} must stay positive, got {w}")
+        w = int(w)
         self._log.append((_WEIGHT, v, self._w[v]))
-        self._w[v] = int(w)
+        self._w_alive += w - self._w[v]
+        self._w[v] = w
 
     def fold_into_new_vertex(
         self,
@@ -173,6 +182,7 @@ class WeightedGraph:
         self._alive.append(True)
         self._n_alive += 1
         self._m_alive += len(new_neighbors)
+        self._w_alive += self._w[vid]
         for u in new_neighbors:
             self._adj[u].append(vid)  # vid exceeds every existing id
         self._log.append((_NEW, vid))
@@ -199,6 +209,7 @@ class WeightedGraph:
                 self._alive[v] = True
                 self._n_alive += 1
                 self._m_alive += len(nbrs)
+                self._w_alive += self._w[v]
                 for u in nbrs:
                     insort(self._adj[u], v)
             elif kind == _NEW:
@@ -208,10 +219,11 @@ class WeightedGraph:
                     del a[bisect_left(a, v)]
                 self._m_alive -= len(nbrs)
                 self._n_alive -= 1
-                self._w.pop()
+                self._w_alive -= self._w.pop()
                 self._adj.pop()
                 self._alive.pop()
             else:  # _WEIGHT
+                self._w_alive += payload[0] - self._w[v]
                 self._w[v] = payload[0]
 
     # ------------------------------------------------------------------
@@ -325,6 +337,8 @@ class WeightedGraph:
             raise _invariant_error(-1, "edge counter out of sync")
         if sum(self._alive) != self._n_alive:
             raise _invariant_error(-1, "alive counter out of sync")
+        if sum(w for w, a in zip(self._w, self._alive) if a) != self._w_alive:
+            raise _invariant_error(-1, "alive weight out of sync")
 
 
 def _invariant_error(v: int, msg: str):

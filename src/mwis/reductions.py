@@ -169,7 +169,8 @@ class ReductionEngine:
     rollback, which is correct because the engine only reduces immediately
     after edits (rolled-back edits leave nothing pending).  The engine also
     keeps the critical-set rule's last flow as the warm start of its next
-    one, and the graph mark at which that rule is known not to fire.
+    one, and the graph mark at which that rule is known not to fire; the
+    LP bound reads both, and its flow is the only one a ``dense`` engine runs.
     There is one scheduler; the tests' reference scheduler is a subclass
     whose ``_drain`` re-queues every alive vertex first.
     """
@@ -591,6 +592,22 @@ class ReductionEngine:
             self.remove_vertex(x)
         self._cwis_idle_mark = g.checkpoint()
         return True
+
+    def lp_bound(self, deadline: float | None = None) -> int | None:
+        """Upper bound on the MWIS weight of the graph: its half-integral LP
+        relaxation, rounded down.
+
+        A maximum flow on the bipartite double cover gives the LP value
+        ``W - maxflow / 2``, which is ``(W + value) / 2`` for the critical-set
+        value ``value`` and the alive weight ``W`` (Nemhauser & Trotter).  On
+        a graph the critical rule is known not to fire on, ``value`` is 0 and
+        no flow runs.  Otherwise the flow starts from the rule's last one and
+        gives up at ``deadline``, returning ``None``."""
+        g = self.g
+        if g.checkpoint() == self._cwis_idle_mark:
+            return g.w_alive // 2
+        found = critical_weighted_set(g, self._cwis_flow, deadline)
+        return None if found is None else (g.w_alive + found[1]) // 2
 
 
 def reduce_to_kernel(graph: WeightedGraph, variant: str = "full") -> KernelResult:

@@ -4,11 +4,18 @@ Each search node reduces the graph to a fixpoint through the incremental
 reduction engine, computes a one-off local-search lower bound per
 subproblem (``_LS_ITERATIONS`` rounds at most, none below ``_LS_MIN_SIZE``
 vertices or past ``MAX_TOTAL_WEIGHT`` in total, wall-capped at
-``_LS_FRACTION`` of a time limit), prunes against a
-weighted clique cover upper bound, splits
-connected components into independent subproblems, and otherwise branches
-on the vertex of maximum degree (including it first).  Backtracking rolls
-the shared graph back via the edit log instead of copying.
+``_LS_FRACTION`` of a time limit), prunes against the smaller of two upper
+bounds, a weighted clique cover and the half-integral LP relaxation that
+the critical-set flow gives, splits connected components into independent
+subproblems, and otherwise branches on the vertex of maximum degree
+(including it first).  Backtracking rolls the shared graph back via the
+edit log instead of copying.
+
+In ``full`` the LP bound is free at the reduction fixpoint, where the
+critical-set rule has just found nothing: it is half the alive weight, so
+it is tried before the cover.  ``dense`` never runs that rule, so its LP
+bound needs a warm-started flow of its own, run only when the cover fails
+to prune.
 
 The recursion is run on an explicit frame stack so deep exclusion chains
 cannot overflow the interpreter stack.  Under a time limit the solver is
@@ -34,6 +41,10 @@ _TIMEOUT_CHECK_MASK = 255  # deadline looked at every 256 nodes
 _LS_ITERATIONS = 600  # ILS round budget per subproblem (capped at 10n + 50)
 _LS_FRACTION = 0.05   # share of the time limit one ILS run may take, at most 10 s
 _LS_MIN_SIZE = 12     # subproblems smaller than this get no ILS bound
+
+# Both upper bounds are looked up here at call time, so that a test can
+# switch pruning off and a tracer can wrap them.
+lp_bound = ReductionEngine.lp_bound
 
 
 @dataclass
@@ -224,7 +235,7 @@ class _Machine:
             eng.rollback(fr.ckpt0)
             stack.pop()
             return
-        if eng.offset + clique_cover_bound(g) <= ctx.best_w:
+        if self._bounded(eng, ctx.best_w - eng.offset):
             self.stats.prunes += 1
             eng.rollback(fr.ckpt0)
             stack.pop()
@@ -245,6 +256,21 @@ class _Machine:
         self._apply_branch(fr, include=True)
         fr.stage = 1
         stack.append(_NodeFrame(ctx))
+
+    def _bounded(self, eng: ReductionEngine, slack: int) -> bool:
+        """True when ``min(clique cover, LP)`` of the engine's graph is at
+        most ``slack``.  ``full`` tries the LP first, free at the reduction
+        fixpoint; ``dense`` tries the cover first, since its LP needs a flow.
+        A flow cut short by the deadline bounds nothing."""
+        if eng.variant == "full":
+            lp = lp_bound(eng, self.deadline)
+            if lp is not None and lp <= slack:
+                return True
+            return clique_cover_bound(eng.g) <= slack
+        if clique_cover_bound(eng.g) <= slack:
+            return True
+        lp = lp_bound(eng, self.deadline)
+        return lp is not None and lp <= slack
 
     def _step_components(self, fr: _CompFrame, stack: list) -> None:
         if fr.idx < len(fr.children):
@@ -268,7 +294,7 @@ class _Machine:
         n = g.n_alive
         if n < _LS_MIN_SIZE:
             return
-        if sum(g.weight(v) for v in g.alive_vertices()) > MAX_TOTAL_WEIGHT:
+        if g.w_alive > MAX_TOTAL_WEIGHT:
             return  # the local search sums in int64; the search stays exact without it
         self.stats.ils_runs += 1
         rounds = min(_LS_ITERATIONS, 10 * n + 50)

@@ -3,6 +3,8 @@
 import heapq
 import random
 
+from hypothesis import strategies as st
+
 from mwis import ReductionEngine, WeightedGraph
 
 
@@ -42,6 +44,17 @@ def random_tree(seed, n, wmax=200):
     weights = [rng.randint(1, wmax) for _ in range(n)]
     edges = [(rng.randint(0, v - 1), v) for v in range(1, n)]
     return WeightedGraph(weights, edges)
+
+
+@st.composite
+def small_graphs(draw, max_n=12, max_w=6, min_w=1):
+    """Hypothesis strategy: a graph on at most ``max_n`` vertices with
+    weights in ``min_w..max_w`` and any edge set."""
+    n = draw(st.integers(0, max_n))
+    weights = draw(st.lists(st.integers(min_w, max_w), min_size=n, max_size=n))  # ties are common
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return WeightedGraph(weights, [e for e, k in zip(pairs, keep) if k])
 
 
 def path_graph(weights):

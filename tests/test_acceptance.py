@@ -124,17 +124,21 @@ def test_03_cwis_certificate():
 def test_04_bound_soundness_and_prune_ab(monkeypatch):
     checked = 0
     for g in _oracle_suite_graphs():
-        assert clique_cover_bound(g) >= brute_force_mwis(g).weight
+        want = brute_force_mwis(g).weight
+        assert clique_cover_bound(g) >= want
+        assert ReductionEngine(g).lp_bound() >= want
         checked += 1
     graphs = [random_graph(seed, 24, 0.4) for seed in range(20)]
-    on = [solve(g).solution.weight for g in graphs]
+    on = [solve(g) for g in graphs]
     monkeypatch.setattr(mwis.solver, "clique_cover_bound", lambda g: float("inf"))
-    off = [solve(g).solution.weight for g in graphs]
+    monkeypatch.setattr(mwis.solver, "lp_bound", lambda eng, deadline: None)
+    off = [solve(g) for g in graphs]
     for seed, (a, b) in enumerate(zip(on, off)):
-        assert a == b, seed
+        assert a.solution.weight == b.solution.weight, seed
+        assert b.stats.prunes == 0, seed
     ab = len(graphs)
     _report("bound soundness", True,
-            f"bound >= alpha on {checked} graphs; prune A/B equal on {ab}")
+            f"cover and LP >= alpha on {checked} graphs; prune A/B equal on {ab}")
 
 
 def test_05_kernel_fixpoint():

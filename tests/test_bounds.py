@@ -1,7 +1,14 @@
-"""Clique cover bound: examples, validity, soundness."""
+"""Upper bounds: the clique cover's examples, validity and soundness, and
+the LP bound of the critical-set flow, alone and beside the cover."""
 
-from helpers import clique_graph, path_graph, random_graph
-from mwis import WeightedGraph, brute_force_mwis, build_clique_cover, clique_cover_bound
+import time
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import clique_graph, cubic_graph, path_graph, random_graph, small_graphs
+from mwis import (ReductionEngine, SolverConfig, WeightedGraph, brute_force_mwis,
+                  build_clique_cover, clique_cover_bound, critical_weighted_set, solve)
 
 
 def test_triangle_single_clique():
@@ -39,3 +46,63 @@ def test_cover_validity_and_soundness_random():
 
 def test_bound_of_empty_graph_is_zero():
     assert clique_cover_bound(WeightedGraph([])) == 0
+
+
+# Weights 1..6 (many ties), 1..10**6, and the latter shifted past 2**63: the
+# oracle sums in int64, so the optimum of a shifted graph is the shifted
+# optimum of the unshifted one.
+HEAVY_SHIFT = 63
+bound_cases = st.one_of(
+    st.tuples(small_graphs(), st.just(0)),
+    st.tuples(small_graphs(max_w=10**6), st.just(0)),
+    st.tuples(small_graphs(max_w=10**6), st.just(HEAVY_SHIFT)))
+
+
+def _shifted(g, shift):
+    return WeightedGraph([g.weight(v) << shift for v in range(g.n_total)],
+                         [(u, v) for u in range(g.n_total) for v in g.neighbors(u) if u < v])
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound_cases, st.sampled_from(["full", "dense"]))
+def test_lp_bound_is_sound_alone_and_beside_the_cover(case, variant):
+    g, shift = case
+    want = brute_force_mwis(g).weight << shift
+    work = _shifted(g, shift)
+    eng = ReductionEngine(work, variant=variant)
+    eng.reduce(initial=True)
+    lp = eng.lp_bound()
+    assert eng.offset + lp >= want
+    assert eng.offset + min(clique_cover_bound(work), lp) >= want
+    res = solve(_shifted(g, shift), SolverConfig(variant=variant))
+    assert res.solution.optimal and res.solution.weight == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(bound_cases, st.data())
+def test_full_fixpoint_lp_shortcut_matches_a_cold_flow(case, data):
+    g, shift = case
+    g = _shifted(g, shift)
+    eng = ReductionEngine(g)
+    eng.reduce(initial=True)
+    for _ in range(2):  # the reduce fixpoint, then again below a branch
+        if g.n_alive == 0:
+            break
+        assert g.checkpoint() == eng._cwis_idle_mark  # lp_bound runs no flow here
+        _, value = critical_weighted_set(g)
+        assert value == 0
+        assert eng.lp_bound() == (g.w_alive + value) // 2 == g.w_alive // 2
+        eng.exclude_vertex(data.draw(st.sampled_from(sorted(g.alive_vertices()))))
+        eng.reduce()
+
+
+def test_dense_lp_bound_runs_the_flow_and_honours_the_deadline():
+    for seed in range(30):
+        g = random_graph(seed, 14, 0.3)
+        eng = ReductionEngine(g, variant="dense")
+        eng.reduce(initial=True)
+        _, value = critical_weighted_set(g)
+        assert eng.lp_bound() == (g.w_alive + value) // 2
+        assert eng.lp_bound() >= brute_force_mwis(g).weight
+    big = ReductionEngine(cubic_graph(1, 2000, wmax=1), variant="dense")
+    assert big.lp_bound(deadline=time.monotonic()) is None

@@ -12,20 +12,11 @@ from hypothesis import strategies as st
 
 import flow_reference
 import ls_reference
-from helpers import ScanEngine, copy_graph, gnm_graph
+from helpers import ScanEngine, copy_graph, gnm_graph, small_graphs
 from mwis import (LsState, ReductionEngine, SolverConfig, WeightedGraph,
                   brute_force_mwis, critical_weighted_set, oracle,
                   reduce_to_kernel, reductions, solve)
 from mwis.solution import verify_independent_set
-
-
-@st.composite
-def small_graphs(draw, max_n=12, max_w=6, min_w=1):
-    n = draw(st.integers(0, max_n))
-    weights = draw(st.lists(st.integers(min_w, max_w), min_size=n, max_size=n))  # ties are common
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return WeightedGraph(weights, [e for e, k in zip(pairs, keep) if k])
 
 
 @settings(max_examples=300, deadline=None)

@@ -170,6 +170,38 @@ def test_random_edit_sequences_roll_back(seed, data):
     g.check_invariants()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.data())
+def test_alive_weight_matches_a_recount_through_edits_and_rollbacks(seed, data):
+    g = random_graph(seed % 50, 10, 0.3, wmax=2**70)
+
+    def recount():
+        return sum(g.weight(v) for v in g.alive_vertices())
+
+    marks = [g.checkpoint()]
+    for _ in range(data.draw(st.integers(0, 16))):
+        alive = sorted(g.alive_vertices())
+        op = data.draw(st.sampled_from(["remove", "weight", "fold", "mark", "rollback"]))
+        if op == "mark":
+            marks.append(g.checkpoint())
+        elif op == "rollback":
+            g.rollback(marks.pop() if len(marks) > 1 else marks[0])
+        elif alive:
+            v = data.draw(st.sampled_from(alive))
+            if op == "remove":
+                g.remove_vertex(v)
+            elif op == "weight":
+                g.set_weight(v, data.draw(st.integers(1, 2**70)))
+            else:
+                group = [v] + [u for u in g.neighbors(v)][:data.draw(st.integers(0, 2))]
+                others = [u for u in alive if u not in group]
+                g.fold_into_new_vertex(group, data.draw(st.integers(1, 2**70)), others[:3])
+        assert g.w_alive == recount()
+    g.rollback(marks[0])
+    assert g.w_alive == recount()
+    g.check_invariants()
+
+
 def test_induced_subgraph_keeps_weights_and_edges():
     g = star_graph(9, [1, 2, 3])
     sub, mapping = g.induced_subgraph([0, 2, 3])

@@ -173,7 +173,7 @@ def test_cli_verify_rejects_edge(edge_graph, tmp_path, capsys):
     sol = tmp_path / "bad.txt"
     sol.write_text("1 2\n")
     assert main(["verify", str(edge_graph), str(sol)]) == 1
-    assert "edge 0-1" in capsys.readouterr().err
+    assert "edge 1-2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, message", [
@@ -210,6 +210,57 @@ def test_cli_reduce_and_external_lift(tmp_path, capsys):
     lifted = lift_solution([mapping[v] for v in best.vertices], records)
     assert verify_independent_set(g, lifted) == best.weight + offset
     assert best.weight + offset == brute_force_mwis(g).weight
+
+
+@pytest.mark.parametrize("seed", [2, 6])
+def test_cli_kernel_round_trip_reduce_oracle_lift_verify(seed, tmp_path, capsys):
+    g = random_graph(seed, 22, 0.3)
+    gpath = tmp_path / "in.graph"
+    gpath.write_text(graph_io.serialize_graph(g))
+    assert main(["solve", str(gpath)]) == 0
+    want = json.loads(capsys.readouterr().out)["weight"]
+    kpath, lpath = tmp_path / "kernel.graph", tmp_path / "lift.side"
+    assert main(["reduce", str(gpath), "--kernel-out", str(kpath), "--lift", str(lpath)]) == 0
+    reduced = json.loads(capsys.readouterr().out)
+    assert reduced["kernel_n"] > 0
+    for tool, extra in (("oracle", []), ("ls", ["--iterations", "300"])):
+        ksol = tmp_path / f"kernel.{tool}.json"
+        assert main([tool, str(kpath), *extra]) == 0
+        kernel_rec = json.loads(capsys.readouterr().out)
+        ksol.write_text(json.dumps(kernel_rec))
+        lifted = tmp_path / f"lifted.{tool}.json"
+        assert main(["lift", str(gpath), str(ksol), "--lift", str(lpath)]) == 0
+        lifted.write_text(capsys.readouterr().out)
+        record = json.loads(lifted.read_text())
+        assert record["weight"] == kernel_rec["weight"] + reduced["offset"]
+        assert record["kernel_n"] == reduced["kernel_n"]
+        assert main(["verify", str(gpath), str(lifted)]) == 0
+        assert f"weight {record['weight']}" in capsys.readouterr().out
+        if tool == "oracle":
+            assert record["weight"] == want
+        assert record["weight"] <= want
+
+
+def test_cli_lift_rejects_a_solution_that_does_not_fit_the_sidecar(tmp_path, capsys):
+    g = random_graph(2, 22, 0.3)
+    gpath, kpath, lpath = tmp_path / "in.graph", tmp_path / "k.graph", tmp_path / "l.side"
+    gpath.write_text(graph_io.serialize_graph(g))
+    assert main(["reduce", str(gpath), "--kernel-out", str(kpath), "--lift", str(lpath)]) == 0
+    kernel_n = json.loads(capsys.readouterr().out)["kernel_n"]
+    kernel = graph_io.parse_graph(kpath)
+    u = next(v for v in range(kernel_n) if kernel.degree(v))
+    cases = [
+        (f"{kernel_n + 1}\n", f"solution id {kernel_n + 1} out of range 1..{kernel_n}"),
+        (f"{u + 1} {kernel.neighbors(u)[0] + 1}\n", "solution contains the edge"),
+        (json.dumps({"solution": [u + 1], "weight": kernel.weight(u) + 1}),
+         "is not the claimed kernel weight"),
+    ]
+    for text, message in cases:
+        ksol = tmp_path / "ksol.txt"
+        ksol.write_text(text)
+        assert main(["lift", str(gpath), str(ksol), "--lift", str(lpath)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 def test_cli_ls_and_hybrid(tmp_path, capsys):

@@ -115,11 +115,28 @@ def test_pruning_toggle_preserves_weight(monkeypatch):
     graphs = [random_graph(seed, 26, 0.4) for seed in (1, 5, 9)]
     on = [solve(g) for g in graphs]
     monkeypatch.setattr(mwis.solver, "clique_cover_bound", lambda g: float("inf"))
+    monkeypatch.setattr(mwis.solver, "lp_bound", lambda eng, deadline: None)
     off = [solve(g) for g in graphs]
     for a, b in zip(on, off):
         assert a.solution.weight == b.solution.weight
         assert b.stats.prunes == 0
         assert b.stats.nodes >= a.stats.nodes
+
+
+# A bound of None is what a flow cut short by the deadline returns.
+BOUND_OFF = {"clique_cover_bound": lambda g: float("inf"),
+             "lp_bound": lambda eng, deadline: None}
+
+
+@pytest.mark.parametrize("variant", ["full", "dense"])
+@pytest.mark.parametrize("off", sorted(BOUND_OFF))
+def test_either_bound_alone_prunes(monkeypatch, variant, off):
+    g = random_graph(1, 40, 0.3)
+    both = solve(g, SolverConfig(variant=variant))
+    monkeypatch.setattr(mwis.solver, off, BOUND_OFF[off])
+    r = solve(g, SolverConfig(variant=variant))
+    assert r.solution.optimal and r.solution.weight == both.solution.weight
+    assert r.stats.prunes > 0 and r.stats.nodes >= both.stats.nodes
 
 
 def test_pruning_happens_on_hard_instances(monkeypatch):
@@ -177,6 +194,17 @@ def test_timeout_overshoot_does_not_grow_with_the_graph():
     r = solve(g, SolverConfig(time_limit=2.0))
     elapsed = time.monotonic() - t0
     assert elapsed < 2.5
+    assert not r.solution.optimal
+    verify_solution(g, r.solution)
+
+
+def test_dense_timeout_cuts_the_bound_flow_short():
+    # the dense variant's first LP-bound flow on this graph takes about a
+    # second; one that ignored the deadline would overrun the limit by that much
+    g = cubic_graph(1, 30000, wmax=1)
+    t0 = time.monotonic()
+    r = solve(g, SolverConfig(variant="dense", time_limit=2.0))
+    assert time.monotonic() - t0 < 2.5
     assert not r.solution.optimal
     verify_solution(g, r.solution)
 
