@@ -142,12 +142,12 @@ def cmd_ls(args) -> int:
     g = _load_graph(args)
     if args.time_limit is None and args.iterations is None:
         args.iterations = 10000
+    t0 = time.monotonic()
     res = ils_run(g, iterations=args.iterations, time_limit=args.time_limit,
-                  seed=args.seed)
+                  seed=args.seed, start_time=t0)
     record = graph_io.result_record(
         _instance_name(args), g, res.solution.vertices, res.solution.weight,
-        False, res.convergence[-1][0] if res.convergence else 0.0,
-        args.seed, "ls", g.n_alive, g.m_alive)
+        False, time.monotonic() - t0, args.seed, "ls", g.n_alive, g.m_alive)
     _emit(record, args)
     _write_convergence(args, res.convergence)
     return 0

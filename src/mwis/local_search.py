@@ -132,13 +132,15 @@ class LsResult:
 
 def ils_run(graph: WeightedGraph, iterations: int | None = None,
             time_limit: float | None = None, seed: int = 0,
-            start_time: float | None = None) -> LsResult:
+            start_time: float | None = None, stall: int | None = None) -> LsResult:
     """Run the iterated local search under a round and/or time budget.
 
-    At least one budget must be given.  Emits a ``(elapsed_seconds, weight)``
-    convergence entry whenever the best known weight improves (observed at
-    chunk granularity).  ``start_time`` lets callers anchor the elapsed
-    clock; defaults to now.
+    At least one budget must be given.  With ``stall`` set the run also
+    stops at the first round that leaves the best weight unimproved for
+    ``stall`` rounds in a row, whatever the chunk size.  Emits a
+    ``(elapsed_seconds, weight)`` convergence entry whenever the best known
+    weight improves (observed at chunk granularity).  ``start_time`` lets
+    callers anchor the elapsed clock; defaults to now.
     """
     if iterations is None and time_limit is None:
         raise ValueError("ils_run needs an iteration or time budget")
@@ -156,6 +158,10 @@ def ils_run(graph: WeightedGraph, iterations: int | None = None,
         if iterations is not None and done >= iterations:
             break
         chunk = _CHUNK_ROUNDS if iterations is None else min(_CHUNK_ROUNDS, iterations - done)
+        if stall is not None:
+            chunk = min(chunk, stall - int(st.state[core.S_FAILS]))
+            if chunk <= 0:
+                break
         st.run_rounds(chunk)
         done += chunk
         if st.best_weight > logged:

@@ -2,14 +2,15 @@
 
 Each search node reduces the graph to a fixpoint through the incremental
 reduction engine, computes a one-off local-search lower bound per
-subproblem (``_LS_ITERATIONS`` rounds at most, none below ``_LS_MIN_SIZE``
-vertices or past ``MAX_TOTAL_WEIGHT`` in total, wall-capped at
-``_LS_FRACTION`` of a time limit), prunes against the smaller of two upper
-bounds, a weighted clique cover and the half-integral LP relaxation that
-the critical-set flow gives, splits connected components into independent
-subproblems, and otherwise branches on the vertex of maximum degree
-(including it first).  Backtracking rolls the shared graph back via the
-edit log instead of copying.
+subproblem (stopped once ``_LS_STALL`` rounds in a row fail to improve it,
+``_LS_ITERATIONS`` rounds at most, none below ``_LS_MIN_SIZE`` vertices or
+past ``MAX_TOTAL_WEIGHT`` in total, wall-capped at ``_LS_FRACTION`` of a
+time limit), prunes against the smaller of two upper bounds, a weighted
+clique cover and the half-integral LP relaxation that the critical-set flow
+gives, splits connected components into independent subproblems, and
+otherwise branches on the vertex of maximum degree (including it first).
+Backtracking rolls the shared graph back via the edit log instead of
+copying.
 
 In ``full`` the LP bound is free at the reduction fixpoint, where the
 critical-set rule has just found nothing: it is half the alive weight, so
@@ -39,6 +40,7 @@ from .solution import Solution, verify_independent_set, verify_solution
 
 _TIMEOUT_CHECK_MASK = 255  # deadline looked at every 256 nodes
 _LS_ITERATIONS = 600  # ILS round budget per subproblem (capped at 10n + 50)
+_LS_STALL = 32        # ILS stops after this many rounds without improvement
 _LS_FRACTION = 0.05   # share of the time limit one ILS run may take, at most 10 s
 _LS_MIN_SIZE = 12     # subproblems smaller than this get no ILS bound
 
@@ -58,10 +60,11 @@ class SolverConfig:
 
     The local-search lower bound runs once per subproblem of at least
     ``_LS_MIN_SIZE`` vertices whose total weight fits in int64
-    (``MAX_TOTAL_WEIGHT``), with a deterministic round budget
-    (``_LS_ITERATIONS``) seeded from ``seed``; when ``time_limit`` is set it
-    is additionally wall-capped at ``_LS_FRACTION`` of the limit, at most
-    10 seconds.
+    (``MAX_TOTAL_WEIGHT``), seeded from ``seed``.  It stops at the first
+    round that leaves its best weight unimproved ``_LS_STALL`` rounds in a
+    row, and after ``_LS_ITERATIONS`` rounds at the latest, so it is
+    deterministic; when ``time_limit`` is set it is additionally wall-capped
+    at ``_LS_FRACTION`` of the limit, at most 10 seconds.
     """
 
     variant: str = "full"
@@ -74,6 +77,7 @@ class SearchStats:
     nodes: int = 0
     prunes: int = 0
     ils_runs: int = 0
+    ils_rounds: int = 0  # summed over the ILS runs
     max_depth: int = 0
     rule_applications: Counter = field(default_factory=Counter)
 
@@ -303,7 +307,8 @@ class _Machine:
             cap = min(_LS_FRACTION * self.config.time_limit, 10.0,
                       max(self.deadline - time.monotonic(), 0.0))
         seed = (self.config.seed * 0x9E3779B9 + ctx.index) & ((1 << 62) - 1)
-        res = ils_run(g, iterations=rounds, time_limit=cap, seed=seed)
+        res = ils_run(g, iterations=rounds, time_limit=cap, seed=seed, stall=_LS_STALL)
+        self.stats.ils_rounds += res.rounds
         lifted = lift_solution(res.solution.vertices, ctx.engine.records)
         ctx.offer(ctx.engine.offset + res.solution.weight, lifted)
 

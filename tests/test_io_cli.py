@@ -281,6 +281,14 @@ def test_cli_ls_and_hybrid(tmp_path, capsys):
     assert hy_rec["optimal"] is False
 
 
+def test_cli_ls_reports_its_wall_time(tmp_path, capsys):
+    # the search improves early and then runs on until the limit
+    gpath = tmp_path / "g.graph"
+    gpath.write_text(graph_io.serialize_graph(random_graph(4, 30, 0.15)))
+    assert main(["ls", str(gpath), "--time-limit", "0.3"]) == 0
+    assert json.loads(capsys.readouterr().out)["elapsed_sec"] >= 0.3
+
+
 def test_cli_gen_weights_and_fmt0_flow(tmp_path, capsys):
     raw = tmp_path / "raw.graph"
     raw.write_text("3 2 0\n2\n1 3\n2\n")

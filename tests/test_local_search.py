@@ -4,8 +4,11 @@ import time
 
 import pytest
 
-from helpers import cubic_graph, path_graph, random_graph
+import ls_reference
+from helpers import cubic_graph, gnm_graph, path_graph, random_graph
 from mwis import GraphError, LsState, WeightedGraph, brute_force_mwis, ils_run
+from mwis._ls_core import S_FAILS
+from mwis.local_search import _CHUNK_ROUNDS
 from mwis.solution import verify_independent_set
 
 
@@ -119,6 +122,62 @@ def test_chunking_does_not_change_the_trajectory():
         assert st1.best_vertices() == st2.best_vertices()
         assert st1.current_vertices() == st2.current_vertices()
         assert list(st1.state) == list(st2.state)
+
+
+def _stalled_replay(g, seed, stall, iterations):
+    """One round at a time until ``stall`` rounds in a row brought nothing."""
+    st = LsState(g, seed=seed)
+    done = 0
+    while done < iterations and st.state[S_FAILS] < stall:
+        st.run_rounds(1)
+        done += 1
+    return st, done
+
+
+@pytest.mark.parametrize("stall", [1, 5, _CHUNK_ROUNDS - 1, _CHUNK_ROUNDS,
+                                   _CHUNK_ROUNDS + 1, 3 * _CHUNK_ROUNDS + 7])
+def test_stall_stops_at_the_first_stalled_round(stall):
+    for g, seed in ((random_graph(4, 40, 0.15), 3), (gnm_graph(2, 300, 750), 7)):
+        st, done = _stalled_replay(g, seed, stall, 10_000)
+        assert done < 10_000  # the stall rule, not the round budget, ended it
+        res = ils_run(g, iterations=10_000, seed=seed, stall=stall)
+        assert res.rounds == done
+        assert res.solution.vertices == st.best_vertices()
+        assert res.solution.weight == st.best_weight
+
+
+def test_stall_gives_way_to_the_round_budget():
+    g = gnm_graph(2, 300, 750)
+    st, done = _stalled_replay(g, 7, 1000, 45)
+    assert done == 45
+    res = ils_run(g, iterations=45, seed=7, stall=1000)
+    assert res.rounds == 45
+    assert res.solution == ils_run(g, iterations=45, seed=7).solution
+    assert res.solution.vertices == st.best_vertices()
+
+
+@pytest.mark.parametrize("iterations", [0, 1, _CHUNK_ROUNDS, 100])
+def test_unstalled_run_replays_the_reference_sweep(iterations):
+    # chunk by chunk: the convergence log reads the best weight after each one
+    g = gnm_graph(3, 200, 500)
+    res = ils_run(g, iterations=iterations, seed=5, stall=None)
+    ref = ls_reference.SweepLs(g, seed=5)
+    logged = []
+    done = 0
+    while True:  # a zero budget still runs the greedy start
+        chunk = min(_CHUNK_ROUNDS, iterations - done)
+        ref.run_rounds(chunk)
+        done += chunk
+        best = int(ref.state[ls_reference.S_BEST])
+        if not logged or best > logged[-1]:
+            logged.append(best)
+        if done >= iterations:
+            break
+    assert res.rounds == iterations
+    assert [w for _, w in res.convergence] == logged
+    best_set = tuple(ref.verts[i] for i in range(len(ref.verts)) if ref.best_sol[i])
+    assert res.solution.vertices == best_set
+    assert res.solution.weight == logged[-1]
 
 
 @pytest.mark.slow

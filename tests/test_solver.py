@@ -5,8 +5,8 @@ import time
 import pytest
 
 import mwis.solver
-from helpers import (clique_graph, cubic_graph, path_graph, random_graph, star_graph,
-                     structured_family)
+from helpers import (clique_graph, cubic_graph, gnm_graph, path_graph, random_graph,
+                     star_graph, structured_family)
 from mwis import (CertificateError, SolverConfig, WeightedGraph,
                   brute_force_mwis, greedy_complete, select_branch_vertex,
                   solve)
@@ -144,6 +144,31 @@ def test_pruning_happens_on_hard_instances(monkeypatch):
     g = random_graph(3, 30, 0.5)
     r = solve(g)
     assert r.stats.prunes > 0
+
+
+# -- local-search lower bound --------------------------------------------
+
+def test_ils_bound_stops_once_it_stalls(monkeypatch):
+    g = gnm_graph(1, 150, 375)
+    runs = []
+    original = mwis.solver.ils_run
+
+    def counted(*args, **kwargs):
+        res = original(*args, **kwargs)
+        runs.append(res.rounds)
+        return res
+
+    monkeypatch.setattr(mwis.solver, "ils_run", counted)
+    weights = set()
+    for variant in ("full", "dense"):
+        runs.clear()
+        r = solve(g, SolverConfig(variant=variant))
+        assert r.solution.optimal
+        weights.add(r.solution.weight)
+        assert r.stats.ils_runs == len(runs) > 0
+        assert r.stats.ils_rounds == sum(runs)
+        assert all(0 < k < mwis.solver._LS_ITERATIONS for k in runs)
+    assert len(weights) == 1
 
 
 # -- greedy completion ---------------------------------------------------
