@@ -246,7 +246,10 @@ def cmd_verify(args) -> int:
 
 def cmd_gen_weights(args) -> int:
     g = graph_io.parse_graph(args.graph)
-    graph_io.generate_weights(g, args.seed, args.lo, args.hi)
+    try:
+        graph_io.generate_weights(g, args.seed, args.lo, args.hi)
+    except ValueError as exc:
+        raise ParseError(f"bad --lo/--hi: {exc}") from None
     graph_io.write_graph(g, args.output)
     print(f"wrote {args.output}")
     return 0

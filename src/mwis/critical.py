@@ -44,6 +44,14 @@ do not depend on which maximum flow was found.  The returned set and value
 are therefore functions of the graph alone: the greedy pass, the phase order
 and the warm start cannot move them.
 
+**Stopping early.**  The total weight minus any feasible flow bounds the
+maximum value from above, so :func:`critical_value` can stop the flow once
+that bound falls to a caller's threshold: after the clip and the greedy
+pass, and after every Dinic phase.  The LP bound of
+:meth:`mwis.reductions.ReductionEngine.lp_bound` uses this to decide a
+prune test without raising the flow to a maximum.  The rule itself always
+raises it to a maximum, which its cut certificate needs.
+
 **Futile calls.**  If ``U`` maximizes ``w(U) - w(N(U))`` on ``G``, then
 ``G - N[U]`` holds no set of positive value.  Such a set ``X`` avoids
 ``N[U]``, so it is not adjacent to ``U`` and its neighbors in ``G`` lie in
@@ -78,15 +86,7 @@ def critical_weighted_set(graph: WeightedGraph,
     :class:`InternalError` if the cut fails its own certificate, which would
     indicate a bug.
     """
-    xadj, adj, w, verts, index = graph.alive_csr()
-    cs, ct, f = w[:], w[:], [0] * len(adj)
-    if flow:
-        _clip(flow, index, xadj, adj, cs, ct, f)
-    _saturate_short_paths(xadj, adj, cs, ct, f)
-    reach = _max_flow(xadj, adj, _reverse_arcs(xadj, adj), cs, ct, f, deadline)
-    if flow is not None:
-        flow[:] = [(verts[i], verts[adj[p]], f[p])
-                   for i in range(len(verts)) for p in range(xadj[i], xadj[i + 1]) if f[p]]
+    verts, cs, reach = _flow(graph, flow, deadline)
     if reach is None:
         return None
     left, right = reach
@@ -104,6 +104,48 @@ def critical_weighted_set(graph: WeightedGraph,
     if nbhd.intersection(chosen):
         raise InternalError("critical-set extraction produced a non-independent set")
     return chosen, value
+
+
+def critical_value(graph: WeightedGraph,
+                   flow: list[tuple[int, int, int]] | None = None,
+                   deadline: float | None = None,
+                   stop: int | None = None) -> int | None:
+    """Return the maximum of ``w(U) - w(N(U))``, or an upper bound on it.
+
+    The value is the total weight minus the flow, so every feasible flow
+    bounds it from above.  With ``stop`` given, the flow is not raised
+    further once that bound is at most ``stop``, and the bound is returned;
+    otherwise the flow is raised to a maximum and the value is exact.
+    ``flow`` and ``deadline`` work as in :func:`critical_weighted_set`;
+    ``None`` means the deadline passed before either was reached.
+    """
+    _, cs, reach = _flow(graph, flow, deadline, stop)
+    value = sum(cs)
+    if reach is None and (stop is None or value > stop):
+        return None
+    return value
+
+
+def _flow(graph, flow, deadline, stop=None):
+    """Warm-start and raise the flow on the double cover of ``graph``.
+
+    Returns the alive vertices in snapshot order, the residual source
+    capacities ``cs`` and the final layers of :func:`_max_flow`, which are
+    ``None`` when the deadline passed or the residual source capacity fell
+    to ``stop`` or below first.  The flow reached is handed back in ``flow``.
+    """
+    xadj, adj, w, verts, index = graph.alive_csr()
+    cs, ct, f = w[:], w[:], [0] * len(adj)
+    if flow:
+        _clip(flow, index, xadj, adj, cs, ct, f)
+    _saturate_short_paths(xadj, adj, cs, ct, f)
+    reach = None
+    if stop is None or sum(cs) > stop:
+        reach = _max_flow(xadj, adj, _reverse_arcs(xadj, adj), cs, ct, f, deadline, stop)
+    if flow is not None:
+        flow[:] = [(verts[i], verts[adj[p]], f[p])
+                   for i in range(len(verts)) for p in range(xadj[i], xadj[i + 1]) if f[p]]
+    return verts, cs, reach
 
 
 def _clip(flow, index, xadj, adj, cs, ct, f) -> None:
@@ -156,12 +198,12 @@ def _reverse_arcs(xadj, adj) -> list[int]:
     return rev
 
 
-def _max_flow(xadj, adj, rev, cs, ct, f, deadline):
+def _max_flow(xadj, adj, rev, cs, ct, f, deadline, stop=None):
     """Raise the flow to a maximum by Dinic phases.
 
     Returns the BFS layers ``(left, right)`` of the final residual network,
     ``-1`` where a copy is unreachable from ``s``, or ``None`` once the
-    deadline has passed.
+    deadline has passed or, after a phase, ``sum(cs)`` is at most ``stop``.
     """
     n = len(cs)
     while True:
@@ -192,6 +234,8 @@ def _max_flow(xadj, adj, rev, cs, ct, f, deadline):
         if not layer:
             return left, right
         if not _blocking_flow(sources, k, xadj, adj, rev, cs, ct, f, left, right, deadline):
+            return None
+        if stop is not None and sum(cs) <= stop:
             return None
 
 

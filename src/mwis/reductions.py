@@ -38,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .critical import critical_weighted_set
+from .critical import critical_value, critical_weighted_set
 from .graph import WeightedGraph
 from .solution import verify_independent_set
 
@@ -188,6 +188,7 @@ class ReductionEngine:
         self._clique_degree_cap: int | None = None
         self._cwis_flow: list[tuple[int, int, int]] = []
         self._cwis_idle_mark = -1
+        self.lp_flows = 0
         for v in graph.alive_vertices():
             self.touch(v)
 
@@ -593,21 +594,35 @@ class ReductionEngine:
         self._cwis_idle_mark = g.checkpoint()
         return True
 
-    def lp_bound(self, deadline: float | None = None) -> int | None:
+    def lp_bound(self, deadline: float | None = None,
+                 slack: int | None = None) -> int | None:
         """Upper bound on the MWIS weight of the graph: its half-integral LP
         relaxation, rounded down.
 
-        A maximum flow on the bipartite double cover gives the LP value
-        ``W - maxflow / 2``, which is ``(W + value) / 2`` for the critical-set
-        value ``value`` and the alive weight ``W`` (Nemhauser & Trotter).  On
-        a graph the critical rule is known not to fire on, ``value`` is 0 and
-        no flow runs.  Otherwise the flow starts from the rule's last one and
-        gives up at ``deadline``, returning ``None``."""
+        A maximum flow ``F`` on the bipartite double cover gives the LP value
+        ``W - F / 2``, which is ``(W + value) / 2`` for the critical-set value
+        ``value`` and the alive weight ``W`` (Nemhauser & Trotter).  On a
+        graph the critical rule is known not to fire on, ``value`` is 0 and no
+        flow runs.  Otherwise the flow starts from the rule's last one and
+        gives up at ``deadline``, returning ``None``.
+
+        With ``slack`` given, only the prune test ``LP <= slack`` is decided.
+        Since ``value >= 0``, the LP is at least ``W // 2``: when that exceeds
+        ``slack``, no flow runs and ``None`` is returned.  Otherwise any
+        feasible flow ``F`` bounds the LP by ``(2W - F) // 2``, so the flow
+        stops as soon as that is at most ``slack`` and returns it; the flow
+        left behind is a valid warm start.  A flow that reaches its maximum
+        first returns the exact LP.  ``lp_flows`` counts the flows run."""
         g = self.g
+        half = g.w_alive // 2
+        if slack is not None and half > slack:
+            return None
         if g.checkpoint() == self._cwis_idle_mark:
-            return g.w_alive // 2
-        found = critical_weighted_set(g, self._cwis_flow, deadline)
-        return None if found is None else (g.w_alive + found[1]) // 2
+            return half
+        self.lp_flows += 1
+        stop = None if slack is None else 2 * slack + 1 - g.w_alive
+        value = critical_value(g, self._cwis_flow, deadline, stop)
+        return None if value is None else (g.w_alive + value) // 2
 
 
 def reduce_to_kernel(graph: WeightedGraph, variant: str = "full") -> KernelResult:

@@ -12,11 +12,13 @@ otherwise branches on the vertex of maximum degree (including it first).
 Backtracking rolls the shared graph back via the edit log instead of
 copying.
 
-In ``full`` the LP bound is free at the reduction fixpoint, where the
-critical-set rule has just found nothing: it is half the alive weight, so
-it is tried before the cover.  ``dense`` never runs that rule, so its LP
-bound needs a warm-started flow of its own, run only when the cover fails
-to prune.
+The prune only asks whether the LP is at most the slack ``best - offset``,
+and the LP is never below half the alive weight ``W``, so the LP test runs
+no flow when ``W // 2`` exceeds the slack; it is tried before the cover.
+In ``full`` the LP is free at the reduction fixpoint, where the
+critical-set rule has just found nothing: it is ``W // 2``.  ``dense``
+never runs that rule, so its LP test runs a warm-started flow of its own,
+stopped as soon as the flow proves the prune.
 
 The recursion is run on an explicit frame stack so deep exclusion chains
 cannot overflow the interpreter stack.  Under a time limit the solver is
@@ -78,6 +80,7 @@ class SearchStats:
     prunes: int = 0
     ils_runs: int = 0
     ils_rounds: int = 0  # summed over the ILS runs
+    lp_flows: int = 0  # flows run by the LP bound
     max_depth: int = 0
     rule_applications: Counter = field(default_factory=Counter)
 
@@ -262,19 +265,17 @@ class _Machine:
         stack.append(_NodeFrame(ctx))
 
     def _bounded(self, eng: ReductionEngine, slack: int) -> bool:
-        """True when ``min(clique cover, LP)`` of the engine's graph is at
-        most ``slack``.  ``full`` tries the LP first, free at the reduction
-        fixpoint; ``dense`` tries the cover first, since its LP needs a flow.
+        """True when ``min(LP, clique cover)`` of the engine's graph is at
+        most ``slack``.  The LP test goes first: it runs no flow when half
+        the alive weight already exceeds ``slack`` or at the ``full``
+        reduction fixpoint, and stops its flow once the prune is proved.
         A flow cut short by the deadline bounds nothing."""
-        if eng.variant == "full":
-            lp = lp_bound(eng, self.deadline)
-            if lp is not None and lp <= slack:
-                return True
-            return clique_cover_bound(eng.g) <= slack
-        if clique_cover_bound(eng.g) <= slack:
+        flows = eng.lp_flows
+        lp = lp_bound(eng, self.deadline, slack)
+        self.stats.lp_flows += eng.lp_flows - flows
+        if lp is not None and lp <= slack:
             return True
-        lp = lp_bound(eng, self.deadline)
-        return lp is not None and lp <= slack
+        return clique_cover_bound(eng.g) <= slack
 
     def _step_components(self, fr: _CompFrame, stack: list) -> None:
         if fr.idx < len(fr.children):

@@ -131,7 +131,7 @@ def test_04_bound_soundness_and_prune_ab(monkeypatch):
     graphs = [random_graph(seed, 24, 0.4) for seed in range(20)]
     on = [solve(g) for g in graphs]
     monkeypatch.setattr(mwis.solver, "clique_cover_bound", lambda g: float("inf"))
-    monkeypatch.setattr(mwis.solver, "lp_bound", lambda eng, deadline: None)
+    monkeypatch.setattr(mwis.solver, "lp_bound", lambda eng, deadline, slack=None: None)
     off = [solve(g) for g in graphs]
     for seed, (a, b) in enumerate(zip(on, off)):
         assert a.solution.weight == b.solution.weight, seed

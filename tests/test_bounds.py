@@ -104,5 +104,37 @@ def test_dense_lp_bound_runs_the_flow_and_honours_the_deadline():
         _, value = critical_weighted_set(g)
         assert eng.lp_bound() == (g.w_alive + value) // 2
         assert eng.lp_bound() >= brute_force_mwis(g).weight
-    big = ReductionEngine(cubic_graph(1, 2000, wmax=1), variant="dense")
+    g = cubic_graph(1, 2000, wmax=1)
+    big = ReductionEngine(g, variant="dense")
     assert big.lp_bound(deadline=time.monotonic()) is None
+    slack = g.w_alive // 2  # the smallest slack that runs the flow
+    assert big.lp_bound(deadline=time.monotonic(), slack=slack) is None
+    # The early stop needed a flow of 2W - 2 * slack - 1; the clip and the
+    # greedy pass, all that ran before the deadline, reached less.
+    assert sum(a for _, _, a in big._cwis_flow) < 2 * g.w_alive - 2 * slack - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(bound_cases, st.sampled_from(["full", "dense"]), st.data())
+def test_lp_prune_test_decides_like_the_exact_lp(case, variant, data):
+    g, shift = case
+
+    def reduced():
+        eng = ReductionEngine(_shifted(g, shift), variant=variant)
+        eng.reduce(initial=True)
+        return eng
+
+    exact = reduced().lp_bound()
+    half = reduced().g.w_alive // 2
+    if exact - half <= 40:
+        slacks = range(half - 2, exact + 3)
+    else:
+        inner = st.integers(half + 3, exact - 3)
+        slacks = [*range(half - 2, half + 3), *range(exact - 2, exact + 3),
+                  *(data.draw(inner) for _ in range(4))]
+    for s in slacks:
+        eng = reduced()
+        r = eng.lp_bound(slack=s)
+        assert r is None or r >= exact
+        assert (r is not None and r <= s) == (exact <= s)
+        assert eng.lp_bound() == exact  # warm-started from the flow left behind

@@ -302,6 +302,19 @@ def test_cli_gen_weights_and_fmt0_flow(tmp_path, capsys):
     assert rec["weight"] == brute_force_mwis(g).weight
 
 
+@pytest.mark.parametrize("lo, hi", [(5, 1), (0, 3)])
+def test_cli_rejects_a_bad_weight_range(tmp_path, capsys, lo, hi):
+    raw = tmp_path / "raw.graph"
+    raw.write_text("3 2 0\n2\n1 3\n2\n")
+    out = tmp_path / "weighted.graph"
+    for argv in (["gen-weights", str(raw), "--lo", str(lo), "--hi", str(hi), "-o", str(out)],
+                 ["solve", str(raw), "--weights", f"generate:{lo}:{hi}"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"[{lo}, {hi}]" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_oracle_size_cap(tmp_path, capsys):
     g = WeightedGraph([1] * 30)
     gpath = tmp_path / "big.graph"

@@ -7,7 +7,7 @@ import pytest
 import mwis.solver
 from helpers import (clique_graph, cubic_graph, gnm_graph, path_graph, random_graph,
                      star_graph, structured_family)
-from mwis import (CertificateError, SolverConfig, WeightedGraph,
+from mwis import (CertificateError, ReductionEngine, SolverConfig, WeightedGraph,
                   brute_force_mwis, greedy_complete, select_branch_vertex,
                   solve)
 from mwis.solution import verify_solution
@@ -115,7 +115,7 @@ def test_pruning_toggle_preserves_weight(monkeypatch):
     graphs = [random_graph(seed, 26, 0.4) for seed in (1, 5, 9)]
     on = [solve(g) for g in graphs]
     monkeypatch.setattr(mwis.solver, "clique_cover_bound", lambda g: float("inf"))
-    monkeypatch.setattr(mwis.solver, "lp_bound", lambda eng, deadline: None)
+    monkeypatch.setattr(mwis.solver, "lp_bound", lambda eng, deadline, slack=None: None)
     off = [solve(g) for g in graphs]
     for a, b in zip(on, off):
         assert a.solution.weight == b.solution.weight
@@ -125,7 +125,7 @@ def test_pruning_toggle_preserves_weight(monkeypatch):
 
 # A bound of None is what a flow cut short by the deadline returns.
 BOUND_OFF = {"clique_cover_bound": lambda g: float("inf"),
-             "lp_bound": lambda eng, deadline: None}
+             "lp_bound": lambda eng, deadline, slack=None: None}
 
 
 @pytest.mark.parametrize("variant", ["full", "dense"])
@@ -144,6 +144,40 @@ def test_pruning_happens_on_hard_instances(monkeypatch):
     g = random_graph(3, 30, 0.5)
     r = solve(g)
     assert r.stats.prunes > 0
+
+
+@pytest.mark.parametrize("variant", ["full", "dense"])
+def test_lp_prune_test_searches_like_the_exact_lp(monkeypatch, variant):
+    graphs = [random_graph(seed, 40, 0.2) for seed in (0, 2, 3, 5)]
+    decided = [solve(g, SolverConfig(variant=variant)) for g in graphs]
+    assert all(a.stats.prunes for a in decided)
+    monkeypatch.setattr(mwis.solver, "lp_bound",
+                        lambda eng, deadline, slack=None: ReductionEngine.lp_bound(eng, deadline))
+    for g, a in zip(graphs, decided):
+        b = solve(g, SolverConfig(variant=variant))
+        assert (a.stats.nodes, a.stats.prunes) == (b.stats.nodes, b.stats.prunes)
+        assert a.solution.vertices == b.solution.vertices
+
+
+def test_lp_flows_counts_the_bound_flows(monkeypatch):
+    g = gnm_graph(1, 150, 375)
+    full = solve(g, SolverConfig(variant="full"))
+    assert full.stats.prunes > 0
+    assert full.stats.lp_flows == 0  # every node sits at the reduce fixpoint
+    calls = {"bound": 0, "flow": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mwis.solver, "lp_bound", counted("bound", ReductionEngine.lp_bound))
+    monkeypatch.setattr(mwis.reductions, "critical_value",
+                        counted("flow", mwis.reductions.critical_value))
+    dense = solve(g, SolverConfig(variant="dense"))
+    assert dense.stats.lp_flows == calls["flow"] > 0  # dense runs no critical rule
+    assert dense.stats.lp_flows < calls["bound"] < dense.stats.nodes  # the skip fired
 
 
 # -- local-search lower bound --------------------------------------------
