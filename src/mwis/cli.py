@@ -31,16 +31,16 @@ from .solution import Solution, verify_independent_set, verify_solution
 from .solver import SolverConfig, greedy_complete, solve
 
 
-def _add_common(p: argparse.ArgumentParser, time_limit: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, anytime: bool = True) -> None:
     p.add_argument("graph", help="input graph file")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.add_argument("--weights", default=None, metavar="SPEC",
                    help="'generate:LO:HI' for random weights or 'file:PATH'; "
                         "defaults to the weights in the graph file (fmt 10)")
-    if time_limit:
+    if anytime:
         p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
-    p.add_argument("--convergence", default=None, metavar="PATH",
-                   help="write an elapsed_seconds,weight CSV here")
+        p.add_argument("--convergence", default=None, metavar="PATH",
+                       help="write an elapsed_seconds,weight CSV here")
 
 
 def _load_graph(args) -> WeightedGraph:
@@ -62,7 +62,7 @@ def _load_graph(args) -> WeightedGraph:
     return g
 
 
-def _emit(record: dict, args) -> None:
+def _emit(record: dict) -> None:
     print(graph_io.format_record(record))
 
 
@@ -85,7 +85,7 @@ def cmd_solve(args) -> int:
         _instance_name(args), g, result.solution.vertices,
         result.solution.weight, result.solution.optimal, result.elapsed,
         args.seed, args.variant, result.kernel_n, result.kernel_m)
-    _emit(record, args)
+    _emit(record)
     _write_convergence(args, result.convergence)
     return 0
 
@@ -109,7 +109,7 @@ def cmd_reduce(args) -> int:
         "elapsed_sec": round(elapsed, 6),
         "seed": args.seed, "variant": args.variant,
     }
-    _emit(record, args)
+    _emit(record)
     return 0
 
 
@@ -134,7 +134,7 @@ def cmd_lift(args) -> int:
         "kernel_n": len(kernel_map), "offset": offset,
         "solution": [v + 1 for v in sorted(lifted)],
     }
-    _emit(record, args)
+    _emit(record)
     return 0
 
 
@@ -148,7 +148,7 @@ def cmd_ls(args) -> int:
     record = graph_io.result_record(
         _instance_name(args), g, res.solution.vertices, res.solution.weight,
         False, time.monotonic() - t0, args.seed, "ls", g.n_alive, g.m_alive)
-    _emit(record, args)
+    _emit(record)
     _write_convergence(args, res.convergence)
     return 0
 
@@ -185,7 +185,7 @@ def cmd_hybrid(args) -> int:
         _instance_name(args), g, solution.vertices, solution.weight, False,
         time.monotonic() - t0, args.seed, "hybrid",
         kr.kernel.n_alive, kr.kernel.m_alive)
-    _emit(record, args)
+    _emit(record)
     _write_convergence(args, convergence)
     return 0
 
@@ -197,7 +197,7 @@ def cmd_oracle(args) -> int:
     record = graph_io.result_record(
         _instance_name(args), g, sol.vertices, sol.weight, True,
         time.monotonic() - t0, args.seed, "oracle", g.n_alive, g.m_alive)
-    _emit(record, args)
+    _emit(record)
     return 0
 
 
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("reduce", help="export the kernel and a lifting sidecar")
-    _add_common(p, time_limit=False)
+    _add_common(p, anytime=False)
     p.add_argument("--variant", choices=("full", "dense"), default="full")
     p.add_argument("--kernel-out", required=True, metavar="PATH")
     p.add_argument("--lift", required=True, metavar="PATH")
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_hybrid)
 
     p = sub.add_parser("oracle", help="brute force (small graphs only)")
-    _add_common(p, time_limit=False)
+    _add_common(p, anytime=False)
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("verify", help="check a solution file against a graph")

@@ -10,15 +10,17 @@ Conventions:
 
 * vertices are dense integer ids; folded vertices get fresh ids appended past
   the original range, dead ids are never reused,
-* weights are positive integers of any size; the local search and the
-  oracle sum them in int64 and refuse graphs past ``MAX_TOTAL_WEIGHT``
-  (2**63 - 1), and the solver skips its local-search bound there,
+* weights are positive integers of any size, and a non-integer weight
+  such as 2.5 is a ``GraphError``; the local search and the oracle sum them
+  in int64 and refuse graphs past ``MAX_TOTAL_WEIGHT`` (2**63 - 1), and the
+  solver skips its local-search bound there,
 * neighbor lists are kept sorted and never contain dead vertices, so
   subset/merge tests over neighborhoods are linear scans.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, insort
 from collections import deque
 from typing import Iterable, Iterator
@@ -43,17 +45,26 @@ def check_total_weight(weights: list[int]) -> None:
             "of the local search and the oracle")
 
 
+def _integer_weight(w, what: str) -> int:
+    """``w`` as a Python int; :class:`GraphError` unless it is an integer
+    (Python or numpy) and positive."""
+    try:
+        w = operator.index(w)
+    except TypeError:
+        raise GraphError(f"{what} has non-integer weight {w!r}") from None
+    if w < 1:
+        raise GraphError(f"{what} has non-positive weight {w}")
+    return w
+
+
 class WeightedGraph:
     """Undirected graph with positive integer vertex weights and an edit log."""
 
     __slots__ = ("_w", "_adj", "_alive", "_n_alive", "_m_alive", "_w_alive", "_log")
 
     def __init__(self, weights: Iterable[int], edges: Iterable[tuple[int, int]] = ()):
-        self._w = [int(w) for w in weights]
+        self._w = [_integer_weight(w, f"vertex {v}") for v, w in enumerate(weights)]
         n = len(self._w)
-        for v, w in enumerate(self._w):
-            if w < 1:
-                raise GraphError(f"vertex {v} has non-positive weight {w}")
         self._adj: list[list[int]] = [[] for _ in range(n)]
         self._alive = [True] * n
         self._n_alive = n
@@ -145,9 +156,7 @@ class WeightedGraph:
 
     def set_weight(self, v: int, w: int) -> None:
         self._require_alive(v)
-        if w < 1:
-            raise GraphError(f"weight of vertex {v} must stay positive, got {w}")
-        w = int(w)
+        w = _integer_weight(w, f"vertex {v}")
         self._log.append((_WEIGHT, v, self._w[v]))
         self._w_alive += w - self._w[v]
         self._w[v] = w
@@ -165,8 +174,7 @@ class WeightedGraph:
         """
         consumed = sorted(set(consumed))
         new_neighbors = sorted(set(new_neighbors))
-        if new_weight < 1:
-            raise GraphError(f"folded vertex needs positive weight, got {new_weight}")
+        new_weight = _integer_weight(new_weight, "folded vertex")
         for v in consumed:
             self._require_alive(v)
         cset = set(consumed)
@@ -177,7 +185,7 @@ class WeightedGraph:
         for v in consumed:
             self.remove_vertex(v)
         vid = len(self._w)
-        self._w.append(int(new_weight))
+        self._w.append(new_weight)
         self._adj.append(list(new_neighbors))
         self._alive.append(True)
         self._n_alive += 1

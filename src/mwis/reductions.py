@@ -216,17 +216,12 @@ class ReductionEngine:
         for u in self.g.neighbors(v):
             self.touch(u)
 
-    def fold(self, consumed: Sequence[int], new_weight: int,
-             new_neighbors: Sequence[int]) -> int:
-        fringe = set()
-        cset = set(consumed)
-        for c in consumed:
-            fringe.update(u for u in self.g.neighbors(c) if u not in cset)
-        vid = self.g.fold_into_new_vertex(consumed, new_weight, new_neighbors)
+    def fold(self, consumed: Sequence[int], new_weight: int) -> int:
+        """Replace ``consumed`` by one fresh vertex wired to their fringe."""
+        fringe = self._fringe(consumed)
+        vid = self.g.fold_into_new_vertex(consumed, new_weight, fringe)
         self.touch(vid)
         for u in fringe:
-            self.touch(u)
-        for u in new_neighbors:
             self.touch(u)
         return vid
 
@@ -404,8 +399,7 @@ class ReductionEngine:
         wv, wu, wx = g.weight(v), g.weight(u), g.weight(x)
         if not (wv < wu + wx and wv >= max(wu, wx)):
             return False
-        new_nbrs = self._fringe((v, u, x))
-        vid = self.fold((v, u, x), wu + wx - wv, new_nbrs)
+        vid = self.fold((v, u, x), wu + wx - wv)
         self._push_record(FoldRecord(
             rule="weighted_vertex_folding", consumed=(v, u, x), offset=wv,
             introduced=vid, fold_in=(u, x), fold_out=(v,)))
@@ -498,8 +492,7 @@ class ReductionEngine:
             return True
         if w_twins > w_nbrs - min(g.weight(p), g.weight(q), g.weight(r)):
             group = (u, v, p, q, r)
-            new_nbrs = self._fringe(group)
-            vid = self.fold(group, w_nbrs - w_twins, new_nbrs)
+            vid = self.fold(group, w_nbrs - w_twins)
             self._push_record(FoldRecord(
                 rule="weighted_twin", consumed=group, offset=w_twins,
                 introduced=vid, fold_in=(p, q, r), fold_out=tuple(sorted((u, v)))))
@@ -520,8 +513,7 @@ class ReductionEngine:
         if not self._is_independent(nbrs):
             return False
         group = (v, *nbrs)
-        new_nbrs = self._fringe(group)
-        vid = self.fold(group, w_nb - wv, new_nbrs)
+        vid = self.fold(group, w_nb - wv)
         self._push_record(FoldRecord(
             rule="neighborhood_folding", consumed=group, offset=wv,
             introduced=vid, fold_in=tuple(nbrs), fold_out=(v,)))

@@ -20,11 +20,12 @@ critical-set rule has just found nothing: it is ``W // 2``.  ``dense``
 never runs that rule, so its LP test runs a warm-started flow of its own,
 stopped as soon as the flow proves the prune.
 
-The recursion is run on an explicit frame stack so deep exclusion chains
-cannot overflow the interpreter stack.  Under a time limit the solver is
-anytime: it returns its best lifted solution, greedily completed, flagged
-non-optimal.  Every returned solution is certificate-checked against the
-input graph.
+Each search node is one generator that yields its children in turn, and
+the recursion is run on an explicit stack of node generators so deep
+exclusion chains cannot overflow the interpreter stack.  Under a time limit
+the solver is anytime: it returns its best lifted solution, greedily
+completed, flagged non-optimal.  Every returned solution is
+certificate-checked against the input graph.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import count
 
 from .bounds import clique_cover_bound
 from .errors import InternalError
@@ -40,7 +42,6 @@ from .local_search import ils_run
 from .reductions import ReductionEngine, lift_solution
 from .solution import Solution, verify_independent_set, verify_solution
 
-_TIMEOUT_CHECK_MASK = 255  # deadline looked at every 256 nodes
 _LS_ITERATIONS = 600  # ILS round budget per subproblem (capped at 10n + 50)
 _LS_STALL = 32        # ILS stops after this many rounds without improvement
 _LS_FRACTION = 0.05   # share of the time limit one ILS run may take, at most 10 s
@@ -126,43 +127,13 @@ def greedy_complete(graph: WeightedGraph, partial=()) -> Solution:
 class _Ctx:
     """Incumbent state of one (sub)problem: a graph plus its engine."""
 
-    __slots__ = ("engine", "best_w", "best_set", "entered", "index", "on_improve")
+    __slots__ = ("engine", "best_w", "best_set", "index")
 
-    def __init__(self, engine: ReductionEngine, index: int, on_improve=None):
+    def __init__(self, engine: ReductionEngine, index: int):
         self.engine = engine
         self.best_w = 0
         self.best_set: set[int] | None = None
-        self.entered = False  # set when the context's first node is entered
-        self.index = index
-        self.on_improve = on_improve
-
-    def offer(self, weight: int, vertices: set[int]) -> None:
-        if weight > self.best_w or self.best_set is None:
-            self.best_w = weight
-            self.best_set = vertices
-            if self.on_improve is not None:
-                self.on_improve(weight)
-
-
-class _NodeFrame:
-    __slots__ = ("ctx", "stage", "ckpt0", "ckpt1", "branch_v")
-
-    def __init__(self, ctx: _Ctx):
-        self.ctx = ctx
-        self.stage = 0
-        self.ckpt0 = None
-        self.ckpt1 = None
-        self.branch_v = -1
-
-
-class _CompFrame:
-    __slots__ = ("ctx", "ckpt0", "children", "idx")
-
-    def __init__(self, ctx: _Ctx, ckpt0, children):
-        self.ctx = ctx
-        self.ckpt0 = ckpt0
-        self.children = children  # (child ctx, local-to-parent id map) pairs
-        self.idx = 0
+        self.index = index  # creation order; seeds the context's ILS run
 
 
 class _Machine:
@@ -173,21 +144,20 @@ class _Machine:
         self.t0 = t0
         self.deadline = None if config.time_limit is None else t0 + config.time_limit
         self.convergence: list[tuple[float, int]] = []
-        self._logged = -1
-        self._ctx_counter = 0
-        self.root = self._new_ctx(engine, is_root=True)
+        self._indices = count()
+        self.root = _Ctx(engine, next(self._indices))
         self.kernel_n = engine.g.n_alive
         self.kernel_m = engine.g.m_alive
 
-    def _new_ctx(self, engine: ReductionEngine, is_root: bool = False) -> _Ctx:
-        idx = self._ctx_counter
-        self._ctx_counter += 1
-        on_improve = self._log_improvement if is_root else None
-        return _Ctx(engine, idx, on_improve)
+    def _offer(self, ctx: _Ctx, weight: int, vertices: set[int]) -> None:
+        if weight > ctx.best_w or ctx.best_set is None:
+            ctx.best_w = weight
+            ctx.best_set = vertices
+            if ctx is self.root:
+                self._log_improvement(weight)
 
     def _log_improvement(self, weight: int) -> None:
-        if weight > self._logged:
-            self._logged = weight
+        if not self.convergence or weight > self.convergence[-1][1]:
             self.convergence.append((time.monotonic() - self.t0, weight))
 
     def _check_deadline(self) -> None:
@@ -195,39 +165,28 @@ class _Machine:
             raise _Timeout
 
     def run(self) -> None:
-        stack: list = [_NodeFrame(self.root)]
+        stack = [self._node(self.root, True)]
         while stack:
             if len(stack) > self.stats.max_depth:
                 self.stats.max_depth = len(stack)
-            fr = stack[-1]
-            if isinstance(fr, _CompFrame):
-                self._step_components(fr, stack)
-            elif fr.stage == 0:
-                self._enter_node(fr, stack)
-            elif fr.stage == 1:
-                fr.ctx.engine.rollback(fr.ckpt1)
-                self._apply_branch(fr, include=False)
-                fr.stage = 2
-                stack.append(_NodeFrame(fr.ctx))
-            else:
-                fr.ctx.engine.rollback(fr.ckpt0)
+            child = next(stack[-1], None)
+            if child is None:
                 stack.pop()
+            else:
+                stack.append(self._node(*child))
 
-    def _apply_branch(self, fr: _NodeFrame, include: bool) -> None:
-        if include:
-            fr.ctx.engine.include_vertex(fr.branch_v)
-        else:
-            fr.ctx.engine.exclude_vertex(fr.branch_v)
+    def _node(self, ctx: _Ctx, first: bool):
+        """Search one node of ``ctx``'s graph and leave the graph as found.
 
-    def _enter_node(self, fr: _NodeFrame, stack: list) -> None:
-        ctx = fr.ctx
+        ``first`` marks the context's first node, which runs the ILS bound.
+        The node reduces, then records a leaf, prunes, splits into
+        components or branches on one vertex.  It yields ``(child ctx,
+        first)`` for each child to search, and ``run`` resumes it once that
+        child's search is done.
+        """
         eng = ctx.engine
         self.stats.nodes += 1
-        if self.stats.nodes & _TIMEOUT_CHECK_MASK == 0:
-            self._check_deadline()
-        fr.ckpt0 = eng.checkpoint()
-        first = not ctx.entered
-        ctx.entered = True
+        ckpt = eng.checkpoint()
         initial = first and ctx is self.root
         eng.reduce(initial=initial, deadline=self.deadline)
         if initial:
@@ -238,31 +197,36 @@ class _Machine:
             self._ils_bound(ctx)
         g = eng.g
         if g.n_alive == 0:
-            ctx.offer(eng.offset, lift_solution((), eng.records))
-            eng.rollback(fr.ckpt0)
-            stack.pop()
-            return
-        if self._bounded(eng, ctx.best_w - eng.offset):
+            self._offer(ctx, eng.offset, lift_solution((), eng.records))
+        elif self._bounded(eng, ctx.best_w - eng.offset):
             self.stats.prunes += 1
-            eng.rollback(fr.ckpt0)
-            stack.pop()
-            return
-        comps = g.connected_components()
-        if len(comps) > 1:
-            children = []
-            for comp in comps:
-                sub, mapping = g.induced_subgraph(comp)
-                child_engine = ReductionEngine(
-                    sub, variant=self.config.variant,
-                    stats=self.stats.rule_applications)
-                children.append((self._new_ctx(child_engine), mapping))
-            stack[-1] = _CompFrame(ctx, fr.ckpt0, children)
-            return
-        fr.branch_v = select_branch_vertex(g)
-        fr.ckpt1 = eng.checkpoint()
-        self._apply_branch(fr, include=True)
-        fr.stage = 1
-        stack.append(_NodeFrame(ctx))
+        else:
+            comps = g.connected_components()
+            if len(comps) > 1:
+                children = []
+                for comp in comps:
+                    sub, mapping = g.induced_subgraph(comp)
+                    child_engine = ReductionEngine(
+                        sub, variant=self.config.variant,
+                        stats=self.stats.rule_applications)
+                    children.append((_Ctx(child_engine, next(self._indices)), mapping))
+                for child, _ in children:
+                    yield child, True
+                total = eng.offset
+                union: set[int] = set()
+                for child, mapping in children:
+                    total += child.best_w
+                    union.update(mapping[i] for i in child.best_set or ())
+                self._offer(ctx, total, lift_solution(union, eng.records))
+            else:
+                v = select_branch_vertex(g)
+                branch = eng.checkpoint()
+                eng.include_vertex(v)
+                yield ctx, False
+                eng.rollback(branch)
+                eng.exclude_vertex(v)
+                yield ctx, False
+        eng.rollback(ckpt)
 
     def _bounded(self, eng: ReductionEngine, slack: int) -> bool:
         """True when ``min(LP, clique cover)`` of the engine's graph is at
@@ -276,23 +240,6 @@ class _Machine:
         if lp is not None and lp <= slack:
             return True
         return clique_cover_bound(eng.g) <= slack
-
-    def _step_components(self, fr: _CompFrame, stack: list) -> None:
-        if fr.idx < len(fr.children):
-            child_ctx, _ = fr.children[fr.idx]
-            fr.idx += 1
-            stack.append(_NodeFrame(child_ctx))
-            return
-        eng = fr.ctx.engine
-        total = eng.offset
-        union: set[int] = set()
-        for child_ctx, mapping in fr.children:
-            total += child_ctx.best_w
-            for i in child_ctx.best_set or ():
-                union.add(mapping[i])
-        fr.ctx.offer(total, lift_solution(union, eng.records))
-        eng.rollback(fr.ckpt0)
-        stack.pop()
 
     def _ils_bound(self, ctx: _Ctx) -> None:
         g = ctx.engine.g
@@ -311,7 +258,7 @@ class _Machine:
         res = ils_run(g, iterations=rounds, time_limit=cap, seed=seed, stall=_LS_STALL)
         self.stats.ils_rounds += res.rounds
         lifted = lift_solution(res.solution.vertices, ctx.engine.records)
-        ctx.offer(ctx.engine.offset + res.solution.weight, lifted)
+        self._offer(ctx, ctx.engine.offset + res.solution.weight, lifted)
 
 
 def solve(graph: WeightedGraph, config: SolverConfig | None = None) -> SolveResult:

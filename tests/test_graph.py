@@ -3,6 +3,7 @@
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +66,28 @@ def test_fold_overlap_is_error():
         g.fold_into_new_vertex([0, 1], 2, [1, 2])
     with pytest.raises(GraphError):
         g.fold_into_new_vertex([0], 0, [2])
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, "2", np.float64(3.0)])
+def test_non_integer_weights_are_rejected(bad):
+    with pytest.raises(GraphError, match="non-integer"):
+        WeightedGraph([bad, 1])
+    g = path_graph([1, 1, 1])
+    before = g.canonical_serialization()
+    with pytest.raises(GraphError, match="non-integer"):
+        g.set_weight(0, bad)
+    with pytest.raises(GraphError, match="non-integer"):
+        g.fold_into_new_vertex([0], bad, [1])
+    assert g.canonical_serialization() == before and g.checkpoint() == 0
+
+
+def test_numpy_integer_weights_are_stored_as_ints():
+    g = WeightedGraph([np.int64(3), np.int32(2)], [(0, 1)])
+    g.set_weight(1, np.int64(2**40))
+    vid = g.fold_into_new_vertex([0], np.uint8(7), [1])
+    assert [g.weight(v) for v in (0, 1, vid)] == [3, 2**40, 7]
+    assert all(type(g.weight(v)) is int for v in (0, 1, vid))
+    assert g.w_alive == 2**40 + 7
 
 
 def test_rollback_restores_serialization():

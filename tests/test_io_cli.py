@@ -323,6 +323,20 @@ def test_cli_oracle_size_cap(tmp_path, capsys):
     assert "limited" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["oracle", "reduce"])
+def test_cli_offers_no_convergence_log_where_none_is_written(command, tmp_path, capsys):
+    gpath = tmp_path / "g.graph"
+    gpath.write_text(graph_io.serialize_graph(random_graph(1, 8, 0.3)))
+    conv = tmp_path / "conv.csv"
+    extra = ["--kernel-out", str(tmp_path / "k.graph"), "--lift", str(tmp_path / "k.lift")]
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(gpath), *(extra if command == "reduce" else []),
+              "--convergence", str(conv)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --convergence" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.graph"]
+
+
 def test_cli_timeout_is_exit_zero(tmp_path, capsys):
     g = random_graph(7, 120, 0.5)
     gpath = tmp_path / "hard.graph"

@@ -69,12 +69,25 @@ def test_branch_full_tie_prefers_lower_id():
 
 
 def test_exploration_order_does_not_change_weight(monkeypatch):
-    graphs = [random_graph(seed, 24, 0.45) for seed in (2, 7, 11)]
-    include_first = [solve(g).solution.weight for g in graphs]
-    apply_branch = mwis.solver._Machine._apply_branch
-    monkeypatch.setattr(mwis.solver._Machine, "_apply_branch",
-                        lambda self, fr, include: apply_branch(self, fr, not include))
-    assert [solve(g).solution.weight for g in graphs] == include_first
+    # the three dense graphs search as many nodes either way round; the
+    # sparser fourth one does not, which shows that the swap took effect
+    graphs = [random_graph(seed, 24, 0.45) for seed in (2, 7, 11)] + [random_graph(7, 30, 0.3)]
+    include_first = [solve(g) for g in graphs]
+    include, exclude = ReductionEngine.include_vertex, ReductionEngine.exclude_vertex
+
+    def exclude_on_branch(self, v, rule="branch"):
+        if rule == "branch":
+            exclude(self, v)
+        else:
+            include(self, v, rule)
+
+    # the branch now excludes its vertex first and includes it second
+    monkeypatch.setattr(ReductionEngine, "include_vertex", exclude_on_branch)
+    monkeypatch.setattr(ReductionEngine, "exclude_vertex", lambda self, v: include(self, v))
+    exclude_first = [solve(g) for g in graphs]
+    assert ([r.solution.weight for r in exclude_first]
+            == [r.solution.weight for r in include_first])
+    assert any(a.stats.nodes != b.stats.nodes for a, b in zip(include_first, exclude_first))
 
 
 # -- components --------------------------------------------------------
