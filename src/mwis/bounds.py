@@ -10,15 +10,20 @@ higher degree, then lower id).  Each vertex joins the heaviest existing
 clique it completes, else opens a singleton clique weighted by the vertex.
 Because heavier vertices are placed first, a joining vertex never forces a
 clique's weight up, so the construction runs in time independent of the
-weight values.
+weight values.  Given a deadline, the construction looks at the clock after
+its sort and then every ``_DEADLINE_STRIDE`` vertices, and gives up once the
+deadline has passed: a cover cut short bounds nothing.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from .errors import InternalError
 from .graph import WeightedGraph
+
+_DEADLINE_STRIDE = 4096  # vertices placed between two looks at the clock
 
 
 @dataclass
@@ -48,7 +53,10 @@ class CliqueCover:
             raise InternalError("cover does not span the alive vertices")
 
 
-def build_clique_cover(graph: WeightedGraph) -> CliqueCover:
+def build_clique_cover(graph: WeightedGraph,
+                       deadline: float | None = None) -> CliqueCover | None:
+    """The greedy cover of ``graph``, or ``None`` once ``deadline`` (a
+    ``time.monotonic()`` value) has passed."""
     order = sorted(
         graph.alive_vertices(),
         key=lambda v: (-graph.weight(v), -graph.degree(v), v),
@@ -57,7 +65,10 @@ def build_clique_cover(graph: WeightedGraph) -> CliqueCover:
     cliques: list[list[int]] = []
     sizes: list[int] = []
     weights: list[int] = []
-    for v in order:
+    for i, v in enumerate(order):
+        if deadline is not None and i % _DEADLINE_STRIDE == 0 \
+                and time.monotonic() >= deadline:
+            return None
         # Count how many members of each existing clique neighbor v; v can
         # join a clique only when it neighbors every member.
         hits: dict[int, int] = {}
@@ -82,6 +93,9 @@ def build_clique_cover(graph: WeightedGraph) -> CliqueCover:
     return CliqueCover(cliques, weights)
 
 
-def clique_cover_bound(graph: WeightedGraph) -> int:
-    """Upper bound on the maximum weight independent set of ``graph``."""
-    return build_clique_cover(graph).bound
+def clique_cover_bound(graph: WeightedGraph,
+                       deadline: float | None = None) -> int | None:
+    """Upper bound on the maximum weight independent set of ``graph``, or
+    ``None`` once ``deadline`` has passed."""
+    cover = build_clique_cover(graph, deadline)
+    return None if cover is None else cover.bound

@@ -15,7 +15,11 @@ Conventions:
   in int64 and refuse graphs past ``MAX_TOTAL_WEIGHT`` (2**63 - 1), and the
   solver skips its local-search bound there,
 * neighbor lists are kept sorted and never contain dead vertices, so
-  subset/merge tests over neighborhoods are linear scans.
+  subset/merge tests over neighborhoods are linear scans,
+* each vertex ``v`` also has its neighbor-weight sum ``s(v)``, the total
+  weight of its alive neighbors (0 once ``v`` is dead), kept current by the
+  same edits that keep ``w_alive`` and restored by ``rollback``, so a test
+  of ``w(v)`` against ``s(v)`` is O(1).
 """
 
 from __future__ import annotations
@@ -60,12 +64,13 @@ def _integer_weight(w, what: str) -> int:
 class WeightedGraph:
     """Undirected graph with positive integer vertex weights and an edit log."""
 
-    __slots__ = ("_w", "_adj", "_alive", "_n_alive", "_m_alive", "_w_alive", "_log")
+    __slots__ = ("_w", "_adj", "_s", "_alive", "_n_alive", "_m_alive", "_w_alive", "_log")
 
     def __init__(self, weights: Iterable[int], edges: Iterable[tuple[int, int]] = ()):
         self._w = [_integer_weight(w, f"vertex {v}") for v, w in enumerate(weights)]
         n = len(self._w)
         self._adj: list[list[int]] = [[] for _ in range(n)]
+        self._s = [0] * n
         self._alive = [True] * n
         self._n_alive = n
         self._m_alive = 0
@@ -83,6 +88,8 @@ class WeightedGraph:
             seen.add(key)
             insort(self._adj[u], v)
             insort(self._adj[v], u)
+            self._s[u] += self._w[v]
+            self._s[v] += self._w[u]
             self._m_alive += 1
 
     # ------------------------------------------------------------------
@@ -120,6 +127,17 @@ class WeightedGraph:
         """Sorted neighbor list of ``v``.  Treat as read-only."""
         return self._adj[v]
 
+    def neighbor_weight(self, v: int) -> int:
+        """``s(v)``: the total weight of the neighbors of ``v``."""
+        return self._s[v]
+
+    def plain_lists(self) -> tuple[list[int], list[list[int]], list[int]]:
+        """The graph's own ``(weights, neighbor lists, neighbor-weight sums)``
+        indexed by vertex id, for loops that cannot afford a method call per
+        lookup.  Treat as read-only; edits update them in place, so they
+        stay current, and a dead id keeps its last weight."""
+        return self._w, self._adj, self._s
+
     def has_edge(self, u: int, v: int) -> bool:
         a = self._adj[u]
         i = bisect_left(a, v)
@@ -144,22 +162,32 @@ class WeightedGraph:
         """Delete ``v`` and its incident edges; reversible via rollback."""
         self._require_alive(v)
         nbrs = self._adj[v]
+        wv = self._w[v]
+        s = self._s
         for u in nbrs:
             a = self._adj[u]
             del a[bisect_left(a, v)]
+            s[u] -= wv
         self._log.append((_REMOVE, v, tuple(nbrs)))
         self._m_alive -= len(nbrs)
         self._adj[v] = []
+        s[v] = 0
         self._alive[v] = False
         self._n_alive -= 1
-        self._w_alive -= self._w[v]
+        self._w_alive -= wv
 
     def set_weight(self, v: int, w: int) -> None:
         self._require_alive(v)
         w = _integer_weight(w, f"vertex {v}")
         self._log.append((_WEIGHT, v, self._w[v]))
-        self._w_alive += w - self._w[v]
-        self._w[v] = w
+        self._shift_weight(v, w - self._w[v])
+
+    def _shift_weight(self, v: int, delta: int) -> None:
+        self._w[v] += delta
+        self._w_alive += delta
+        s = self._s
+        for u in self._adj[v]:
+            s[u] += delta
 
     def fold_into_new_vertex(
         self,
@@ -185,14 +213,17 @@ class WeightedGraph:
         for v in consumed:
             self.remove_vertex(v)
         vid = len(self._w)
+        s = self._s
         self._w.append(new_weight)
         self._adj.append(list(new_neighbors))
+        s.append(sum(self._w[u] for u in new_neighbors))
         self._alive.append(True)
         self._n_alive += 1
         self._m_alive += len(new_neighbors)
-        self._w_alive += self._w[vid]
+        self._w_alive += new_weight
         for u in new_neighbors:
             self._adj[u].append(vid)  # vid exceeds every existing id
+            s[u] += new_weight
         self._log.append((_NEW, vid))
         return vid
 
@@ -209,6 +240,7 @@ class WeightedGraph:
         if not (0 <= mark <= len(self._log)):
             raise GraphError(f"stale or invalid checkpoint mark {mark}")
         log = self._log
+        w, s = self._w, self._s
         while len(log) > mark:
             kind, v, *payload = log.pop()
             if kind == _REMOVE:
@@ -217,22 +249,29 @@ class WeightedGraph:
                 self._alive[v] = True
                 self._n_alive += 1
                 self._m_alive += len(nbrs)
-                self._w_alive += self._w[v]
+                wv = w[v]
+                self._w_alive += wv
+                sv = 0
                 for u in nbrs:
                     insort(self._adj[u], v)
+                    s[u] += wv
+                    sv += w[u]
+                s[v] = sv
             elif kind == _NEW:
                 nbrs = self._adj[v]
+                wv = w.pop()
                 for u in nbrs:
                     a = self._adj[u]
                     del a[bisect_left(a, v)]
+                    s[u] -= wv
                 self._m_alive -= len(nbrs)
                 self._n_alive -= 1
-                self._w_alive -= self._w.pop()
+                self._w_alive -= wv
                 self._adj.pop()
+                s.pop()
                 self._alive.pop()
             else:  # _WEIGHT
-                self._w_alive += payload[0] - self._w[v]
-                self._w[v] = payload[0]
+                self._shift_weight(v, payload[0] - w[v])
 
     # ------------------------------------------------------------------
     # Queries used by the solver
@@ -304,6 +343,7 @@ class WeightedGraph:
         xadj, adj, weights, verts, _ = self.alive_csr(vertices)
         sub = WeightedGraph(weights)
         sub._adj = [adj[xadj[i]:xadj[i + 1]] for i in range(len(verts))]
+        sub._s = [sum(map(weights.__getitem__, a)) for a in sub._adj]
         sub._m_alive = len(adj) // 2
         return sub, verts
 
@@ -322,8 +362,12 @@ class WeightedGraph:
     def check_invariants(self) -> None:
         """Assert structural invariants; meant for tests and debugging."""
         n = len(self._w)
+        if not len(self._adj) == len(self._s) == len(self._alive) == n:
+            raise _invariant_error(-1, "per-vertex lists differ in length")
         m2 = 0
         for v in range(n):
+            if self._s[v] != sum(self._w[u] for u in self._adj[v]):
+                raise _invariant_error(v, "neighbor-weight sum out of sync")
             if not self._alive[v]:
                 if self._adj[v]:
                     raise _invariant_error(v, "dead vertex keeps a neighbor list")

@@ -16,6 +16,23 @@ scheduler that re-queues every alive vertex before each drain must produce
 the same kernel; the test suite keeps one as its reference and asserts that
 equivalence.
 
+A touched vertex ``v`` joins a rule's queue only when it passes that rule's
+screen (``_screens``), an O(1) necessary condition on the degree, the weight
+and the neighbor-weight sum ``s(v)`` that the graph keeps: ``w(v) >= s(v)``
+for neighborhood removal, degree 2 for vertex folding, ``s(v) <= deg(v) *
+w(v)`` for isolated vertex removal, degree at least 1 for the weight
+transfer, degree 3 for the twin rule, and degree 1 to ``MAX_META_SIZE`` with
+``s(v) > w(v)`` for neighborhood folding.  The screens are exact: every
+change to the members, weights or induced edges of ``N[v]`` touches ``v``
+again, so a vertex kept out could only have been popped to fail, and the
+rules fire in the same order as without them.  Domination and the meta rule
+read the neighborhoods of ``v``'s neighbors, which can change without a
+touch of ``v``, so they have no screen; an inexact one would reorder the
+edits.  Their wrappers test each edge's pairs in one pass over the graph's
+plain lists, and the meta rule's wrapper refutes most pairs before building
+the local subproblem.  The tests keep an unscreened engine as the reference
+of the screens.
+
 Rule order (cheap local rules first, the global flow-based rule last):
 
 1.  neighborhood removal        (forces a vertex outweighing its neighbors)
@@ -34,6 +51,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -97,6 +115,35 @@ def subgraph_mwis_weight(graph: WeightedGraph, vertices: Iterable[int]) -> int:
 
     branch((1 << len(weight)) - 1, 0)
     return best
+
+
+def _screens(deg: int, w: int, s: int) -> tuple[bool, ...]:
+    """For each rule of ``LOCAL_RULES``, whether it can fire at a vertex of
+    degree ``deg``, weight ``w`` and neighbor-weight sum ``s``: a necessary
+    condition of the rule, decided in O(1) whatever the degree."""
+    return (w >= s,                                  # neighborhood removal
+            True,                                    # weighted domination
+            deg == 2,                                # weighted vertex folding
+            s <= deg * w,                            # isolated vertex removal
+            deg >= 1,                                # isolated weight transfer
+            deg == 3,                                # weighted twin
+            1 <= deg <= MAX_META_SIZE and s > w,     # neighborhood folding
+            True)                                    # neighbor removal meta
+
+
+def _covers(big: Sequence[int], small: Sequence[int], skip: int) -> bool:
+    """True when ``set(small) - {skip}`` is contained in sorted ``big``."""
+    i = 0
+    nbig = len(big)
+    for x in small:
+        if x == skip:
+            continue
+        while i < nbig and big[i] < x:
+            i += 1
+        if i == nbig or big[i] != x:
+            return False
+        i += 1
+    return True
 
 
 @dataclass(frozen=True)
@@ -171,8 +218,9 @@ class ReductionEngine:
     keeps the critical-set rule's last flow as the warm start of its next
     one, and the graph mark at which that rule is known not to fire; the
     LP bound reads both, and its flow is the only one a ``dense`` engine runs.
-    There is one scheduler; the tests' reference scheduler is a subclass
-    whose ``_drain`` re-queues every alive vertex first.
+    There is one scheduler; the tests' reference schedulers are subclasses
+    whose ``_drain`` re-queues every alive vertex first, or whose ``touch``
+    queues a vertex for every rule, screens aside.
     """
 
     def __init__(self, graph: WeightedGraph, variant: str = "full",
@@ -189,18 +237,28 @@ class ReductionEngine:
         self._cwis_flow: list[tuple[int, int, int]] = []
         self._cwis_idle_mark = -1
         self.lp_flows = 0
+        w, adj, s = graph.plain_lists()
+        heaps = [heap for heap, _ in self._queues.values()]
         for v in graph.alive_vertices():
-            self.touch(v)
+            for heap, ok in zip(heaps, _screens(len(adj[v]), w[v], s[v])):
+                if ok:
+                    heap.append(v)  # ascending, so each list is a heap
+        for heap, members in self._queues.values():
+            members.update(heap)
 
     # ------------------------------------------------------------------
     # Dirty-vertex bookkeeping and tracked edits
     # ------------------------------------------------------------------
 
     def touch(self, v: int) -> None:
-        if not self.g.is_alive(v):
+        """Queue ``v`` for every rule whose screen it passes."""
+        g = self.g
+        if not g.is_alive(v):
             return
-        for heap, members in self._queues.values():
-            if v not in members:
+        w, adj, s = g.plain_lists()
+        for (heap, members), ok in zip(self._queues.values(),
+                                       _screens(len(adj[v]), w[v], s[v])):
+            if ok and v not in members:
                 members.add(v)
                 heapq.heappush(heap, v)
 
@@ -313,23 +371,9 @@ class ReductionEngine:
     # Small structural helpers
     # ------------------------------------------------------------------
 
-    def _covers(self, big: Sequence[int], small: Sequence[int], skip: int) -> bool:
-        """True when ``set(small) - {skip}`` is contained in sorted ``big``."""
-        i = 0
-        nbig = len(big)
-        for x in small:
-            if x == skip:
-                continue
-            while i < nbig and big[i] < x:
-                i += 1
-            if i == nbig or big[i] != x:
-                return False
-            i += 1
-        return True
-
     def _is_clique(self, verts: Sequence[int]) -> bool:
         for u in verts:
-            if not self._covers(self.g.neighbors(u), verts, skip=u):
+            if not _covers(self.g.neighbors(u), verts, skip=u):
                 return False
         return True
 
@@ -360,7 +404,7 @@ class ReductionEngine:
     def neighborhood_removal(self, v: int) -> bool:
         """Force ``v`` in when it outweighs its whole neighborhood."""
         g = self.g
-        if g.weight(v) >= sum(g.weight(u) for u in g.neighbors(v)):
+        if g.weight(v) >= g.neighbor_weight(v):
             self.include_vertex(v, rule="neighborhood_removal")
             return True
         return False
@@ -368,11 +412,19 @@ class ReductionEngine:
     _try_neighborhood_removal = neighborhood_removal
 
     def _try_weighted_domination(self, v: int) -> bool:
-        for u in self.g.neighbors(v):
-            # The higher id is tried first, so of two equal-weight true twins
-            # the lower id stays.
-            hi, lo = (u, v) if u > v else (v, u)
-            if self.weighted_domination(hi, lo) or self.weighted_domination(lo, hi):
+        # The tests of ``weighted_domination`` for each edge (u, v), both
+        # ways; when both ways apply, the higher id goes, so of two
+        # equal-weight true twins the lower id stays.
+        w, adj, _ = self.g.plain_lists()
+        nv = adj[v]
+        wv, dv = w[v], len(nv)
+        for u in nv:
+            nu = adj[u]
+            wu, du = w[u], len(nu)
+            u_goes = wu <= wv and du >= dv and _covers(nu, nv, skip=u)
+            v_goes = wv <= wu and dv >= du and _covers(nv, nu, skip=v)
+            if u_goes or v_goes:
+                self.remove_vertex(u if u_goes and (u > v or not v_goes) else v)
                 return True
         return False
 
@@ -381,7 +433,7 @@ class ReductionEngine:
         g = self.g
         if g.weight(u) > g.weight(v) or g.degree(u) < g.degree(v):
             return False  # the cover needs deg(u) >= deg(v)
-        if not self._covers(g.neighbors(u), g.neighbors(v), skip=u):
+        if not _covers(g.neighbors(u), g.neighbors(v), skip=u):
             return False
         if u == v or not g.has_edge(u, v):
             return False
@@ -507,7 +559,7 @@ class ReductionEngine:
         if not nbrs or len(nbrs) > MAX_META_SIZE:
             return False
         wv = g.weight(v)
-        w_nb = sum(g.weight(u) for u in nbrs)
+        w_nb = g.neighbor_weight(v)
         if not (w_nb > wv and w_nb - min(g.weight(u) for u in nbrs) < wv):
             return False
         if not self._is_independent(nbrs):
@@ -522,9 +574,25 @@ class ReductionEngine:
     _try_neighborhood_folding = neighborhood_folding
 
     def _try_neighbor_removal_meta(self, v: int) -> bool:
-        for u in self.g.neighbors(v):
-            if self.neighbor_removal_meta(v, u) or self.neighbor_removal_meta(u, v):
-                return True
+        # Each edge (u, v) is tried both ways, ``v`` keeping first.  A pair
+        # is refuted at the first vertex of the local set ``N(a) - N[b]``
+        # heavier than the slack, found without building that set; only the
+        # pairs left go to ``neighbor_removal_meta``.
+        w, adj, _ = self.g.plain_lists()
+        for u in adj[v]:
+            for a, b in ((v, u), (u, v)):
+                slack = w[a] - w[b]
+                if slack < 0:
+                    continue
+                nb = adj[b]
+                for x in adj[a]:
+                    if w[x] > slack and x != b:
+                        i = bisect_left(nb, x)
+                        if i == len(nb) or nb[i] != x:
+                            break
+                else:
+                    if self.neighbor_removal_meta(a, b):
+                        return True
         return False
 
     def neighbor_removal_meta(self, v: int, u: int) -> bool:

@@ -201,6 +201,7 @@ class _Machine:
         elif self._bounded(eng, ctx.best_w - eng.offset):
             self.stats.prunes += 1
         else:
+            self._check_deadline()  # the bounds may have given up at it
             comps = g.connected_components()
             if len(comps) > 1:
                 children = []
@@ -233,13 +234,14 @@ class _Machine:
         most ``slack``.  The LP test goes first: it runs no flow when half
         the alive weight already exceeds ``slack`` or at the ``full``
         reduction fixpoint, and stops its flow once the prune is proved.
-        A flow cut short by the deadline bounds nothing."""
+        A flow or a cover cut short by the deadline bounds nothing."""
         flows = eng.lp_flows
         lp = lp_bound(eng, self.deadline, slack)
         self.stats.lp_flows += eng.lp_flows - flows
         if lp is not None and lp <= slack:
             return True
-        return clique_cover_bound(eng.g) <= slack
+        cover = clique_cover_bound(eng.g, self.deadline)
+        return cover is not None and cover <= slack
 
     def _ils_bound(self, ctx: _Ctx) -> None:
         g = ctx.engine.g

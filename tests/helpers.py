@@ -114,6 +114,25 @@ class ScanEngine(ReductionEngine):
         return super()._drain(rule, deadline)
 
 
+class UnscreenedEngine(ReductionEngine):
+    """Reference for the engine's screens: ``touch`` queues every touched
+    vertex for every rule, and every alive vertex starts queued for every
+    rule, so each rule is also tried where its screen says it cannot fire."""
+
+    def __init__(self, graph, variant="full", stats=None):
+        super().__init__(graph, variant=variant, stats=stats)
+        for v in graph.alive_vertices():
+            self.touch(v)
+
+    def touch(self, v):
+        if not self.g.is_alive(v):
+            return
+        for heap, members in self._queues.values():
+            if v not in members:
+                members.add(v)
+                heapq.heappush(heap, v)
+
+
 def structured_family(wmax=200):
     """Small named instances exercising every reduction shape."""
     out = {

@@ -48,6 +48,14 @@ def test_bound_of_empty_graph_is_zero():
     assert clique_cover_bound(WeightedGraph([])) == 0
 
 
+def test_cover_gives_up_past_its_deadline():
+    g = cubic_graph(1, 30000)
+    assert clique_cover_bound(g, deadline=time.monotonic() - 1.0) is None
+    assert build_clique_cover(g, deadline=time.monotonic() - 1.0) is None
+    assert clique_cover_bound(g) == 1864108
+    assert clique_cover_bound(g, deadline=time.monotonic() + 3600.0) == 1864108
+
+
 # Weights 1..6 (many ties), 1..10**6, and the latter shifted past 2**63: the
 # oracle sums in int64, so the optimum of a shifted graph is the shifted
 # optimum of the unshifted one.

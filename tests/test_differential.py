@@ -1,4 +1,5 @@
 """Differential checks on generated graphs: variants, scheduling modes, the
+engine's screens against an engine that queues every touched vertex, the
 kernel round trip against the solver, the meta rule's subsolve and weight
 tests against the brute-force oracle, the local search's worklist descent
 against the full sweep it replays, and the critical-set flow, cold and warm
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 
 import flow_reference
 import ls_reference
-from helpers import ScanEngine, copy_graph, gnm_graph, small_graphs
+import mwis.solver
+from helpers import (ScanEngine, UnscreenedEngine, copy_graph, gnm_graph,
+                     small_graphs)
 from mwis import (LsState, ReductionEngine, SolverConfig, WeightedGraph,
                   brute_force_mwis, critical_weighted_set, oracle,
                   reduce_to_kernel, reductions, solve)
@@ -34,6 +37,25 @@ def test_variants_and_modes_agree(g):
         assert queue.canonical_serialization() == scan.canonical_serialization()
         assert eq.offset == es.offset
         assert eq.records == es.records
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.sampled_from(["full", "dense"]))
+def test_screened_engine_matches_the_unscreened_one(g, variant):
+    screened, unscreened = copy_graph(g), copy_graph(g)
+    es = ReductionEngine(screened, variant=variant)
+    eu = UnscreenedEngine(unscreened, variant=variant)
+    es.reduce(initial=True)
+    eu.reduce(initial=True)
+    assert es.records == eu.records
+    assert es.offset == eu.offset
+    assert es.stats == eu.stats
+    assert screened.canonical_serialization() == unscreened.canonical_serialization()
+    want = solve(g, SolverConfig(variant=variant))
+    with mock.patch.object(mwis.solver, "ReductionEngine", UnscreenedEngine):
+        ref = solve(g, SolverConfig(variant=variant))
+    assert want.solution == ref.solution
+    assert want.stats == ref.stats  # nodes, prunes, lp_flows, rule_applications, ...
 
 
 @settings(max_examples=300, deadline=None)

@@ -220,6 +220,7 @@ def test_alive_weight_matches_a_recount_through_edits_and_rollbacks(seed, data):
                 others = [u for u in alive if u not in group]
                 g.fold_into_new_vertex(group, data.draw(st.integers(1, 2**70)), others[:3])
         assert g.w_alive == recount()
+        g.check_invariants()  # recounts every neighbor-weight sum too
     g.rollback(marks[0])
     assert g.w_alive == recount()
     g.check_invariants()

@@ -534,6 +534,28 @@ def test_queue_equals_scan_scheduling():
         assert e1.records == e2.records
 
 
+def test_screens_reject_only_where_the_rule_cannot_fire():
+    # a vertex kept out of a rule's queue could only have been popped to fail
+    rejected = dict.fromkeys(reductions.LOCAL_RULES, 0)
+    for seed in range(60):
+        n = 2 + seed % 14
+        g = random_graph(seed, n, [0.1, 0.25, 0.5][seed % 3], wmax=[1, 4, 50][seed // 3 % 3])
+        w, adj, s = g.plain_lists()
+        for v in g.alive_vertices():
+            screens = reductions._screens(len(adj[v]), w[v], s[v])
+            for rule, ok in zip(reductions.LOCAL_RULES, screens):
+                if ok:
+                    continue
+                rejected[rule] += 1
+                copy = copy_graph(g)
+                before = copy.canonical_serialization()
+                assert not getattr(ReductionEngine(copy), "_try_" + rule)(v), (seed, v, rule)
+                assert copy.canonical_serialization() == before
+    screened = [r for r in reductions.LOCAL_RULES
+                if r not in ("weighted_domination", "neighbor_removal_meta")]
+    assert all(rejected[r] > 0 for r in screened), rejected
+
+
 def test_reduce_dispatches_through_the_class_try_attribute(monkeypatch):
     # Tracing counts rule calls by wrapping ReductionEngine._try_<rule>; the
     # scheduler must look the rule up there at call time.

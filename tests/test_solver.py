@@ -127,7 +127,7 @@ def test_single_component_no_split():
 def test_pruning_toggle_preserves_weight(monkeypatch):
     graphs = [random_graph(seed, 26, 0.4) for seed in (1, 5, 9)]
     on = [solve(g) for g in graphs]
-    monkeypatch.setattr(mwis.solver, "clique_cover_bound", lambda g: float("inf"))
+    monkeypatch.setattr(mwis.solver, "clique_cover_bound", lambda g, deadline=None: None)
     monkeypatch.setattr(mwis.solver, "lp_bound", lambda eng, deadline, slack=None: None)
     off = [solve(g) for g in graphs]
     for a, b in zip(on, off):
@@ -136,8 +136,8 @@ def test_pruning_toggle_preserves_weight(monkeypatch):
         assert b.stats.nodes >= a.stats.nodes
 
 
-# A bound of None is what a flow cut short by the deadline returns.
-BOUND_OFF = {"clique_cover_bound": lambda g: float("inf"),
+# A bound of None is what a flow or cover cut short by the deadline returns.
+BOUND_OFF = {"clique_cover_bound": lambda g, deadline=None: None,
              "lp_bound": lambda eng, deadline, slack=None: None}
 
 
