@@ -1,7 +1,7 @@
 """Exact branch-and-reduce solving and local search for the maximum weight
 independent set problem on sparse graphs."""
 
-from .bounds import CliqueCover, build_clique_cover, clique_cover_bound
+from .bounds import build_clique_cover, clique_cover_bound
 from .critical import critical_weighted_set
 from .errors import (CertificateError, GraphError, InternalError,
                      OracleSizeError, ParseError)
@@ -17,7 +17,7 @@ from .solver import (SearchStats, SolveResult, SolverConfig, greedy_complete,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CliqueCover", "build_clique_cover", "clique_cover_bound",
+    "build_clique_cover", "clique_cover_bound",
     "critical_weighted_set",
     "CertificateError", "GraphError", "InternalError", "OracleSizeError",
     "ParseError",

@@ -18,45 +18,17 @@ deadline has passed: a cover cut short bounds nothing.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
-from .errors import InternalError
 from .graph import WeightedGraph
 
 _DEADLINE_STRIDE = 4096  # vertices placed between two looks at the clock
 
 
-@dataclass
-class CliqueCover:
-    """Disjoint cliques plus their assigned weights."""
-
-    cliques: list[list[int]]
-    weights: list[int]
-
-    @property
-    def bound(self) -> int:
-        return sum(self.weights)
-
-    def validate(self, graph: WeightedGraph) -> None:
-        """Assert cover validity against ``graph``; for tests."""
-        covered: dict[int, int] = {}
-        for clique, w in zip(self.cliques, self.weights):
-            for i, u in enumerate(clique):
-                covered[u] = covered.get(u, 0) + w
-                for x in clique[i + 1:]:
-                    if not graph.has_edge(u, x):
-                        raise InternalError(f"clique member pair {u},{x} not adjacent")
-        for v in graph.alive_vertices():
-            if covered.get(v, 0) < graph.weight(v):
-                raise InternalError(f"vertex {v} not covered by enough clique weight")
-        if set(covered) != set(graph.alive_vertices()):
-            raise InternalError("cover does not span the alive vertices")
-
-
-def build_clique_cover(graph: WeightedGraph,
-                       deadline: float | None = None) -> CliqueCover | None:
-    """The greedy cover of ``graph``, or ``None`` once ``deadline`` (a
-    ``time.monotonic()`` value) has passed."""
+def build_clique_cover(graph: WeightedGraph, deadline: float | None = None
+                       ) -> tuple[list[list[int]], list[int]] | None:
+    """The greedy cover of ``graph`` as disjoint cliques and their weights,
+    or ``None`` once ``deadline`` (a ``time.monotonic()`` value) has
+    passed."""
     order = sorted(
         graph.alive_vertices(),
         key=lambda v: (-graph.weight(v), -graph.degree(v), v),
@@ -90,7 +62,7 @@ def build_clique_cover(graph: WeightedGraph,
             cliques.append([v])
             sizes.append(1)
             weights.append(graph.weight(v))
-    return CliqueCover(cliques, weights)
+    return cliques, weights
 
 
 def clique_cover_bound(graph: WeightedGraph,
@@ -98,4 +70,4 @@ def clique_cover_bound(graph: WeightedGraph,
     """Upper bound on the maximum weight independent set of ``graph``, or
     ``None`` once ``deadline`` has passed."""
     cover = build_clique_cover(graph, deadline)
-    return None if cover is None else cover.bound
+    return None if cover is None else sum(cover[1])

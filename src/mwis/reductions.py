@@ -14,7 +14,10 @@ graph, scheduling restarts from the first rule.  The dirty-vertex
 bookkeeping only skips vertices whose check cannot have changed, so a
 scheduler that re-queues every alive vertex before each drain must produce
 the same kernel; the test suite keeps one as its reference and asserts that
-equivalence.
+equivalence.  The rules a reduce drains are always a prefix of
+``LOCAL_RULES``, followed in the ``full`` variant by the critical rule; a
+``dense`` reduce below the root drains the first six, and only the queues of
+the prefix are filled.
 
 A touched vertex ``v`` joins a rule's queue only when it passes that rule's
 screen (``_screens``), an O(1) necessary condition on the degree, the weight
@@ -42,8 +45,10 @@ Rule order (cheap local rules first, the global flow-based rule last):
 5.  isolated weight transfer    (simplicial vertex, weight pushed to heavier
                                  clique mates)
 6.  weighted twin               (degree-3 twins, include or fold)
-7.  neighborhood folding        (independent neighborhood fold, size-capped)
-8.  neighbor removal            (local exact subsolve, size-capped)
+7.  neighborhood folding        (independent neighborhood fold, size-capped;
+                                 dense variant: initial reduce only)
+8.  neighbor removal            (local exact subsolve, size-capped; dense
+                                 variant: initial reduce only)
 9.  critical weighted set       (global min-cut rule; full variant only)
 """
 
@@ -71,6 +76,7 @@ LOCAL_RULES = (
     "neighbor_removal_meta",
 )
 CRITICAL_RULE = "critical_set"
+_DENSE_BRANCH_RULES = 6  # the prefix of LOCAL_RULES a dense reduce below the root drains
 MAX_META_SIZE = 16  # size cap of the neighborhood fold and the local subsolve
 
 
@@ -220,7 +226,7 @@ class ReductionEngine:
     LP bound reads both, and its flow is the only one a ``dense`` engine runs.
     There is one scheduler; the tests' reference schedulers are subclasses
     whose ``_drain`` re-queues every alive vertex first, or whose ``touch``
-    queues a vertex for every rule, screens aside.
+    queues a vertex for every rule it fills, screens aside.
     """
 
     def __init__(self, graph: WeightedGraph, variant: str = "full",
@@ -232,18 +238,17 @@ class ReductionEngine:
         self.records: list[FoldRecord] = []
         self.offset = 0
         self.stats: Counter = Counter() if stats is None else stats
-        self._queues = {rule: ([], set()) for rule in LOCAL_RULES}
-        self._clique_degree_cap: int | None = None
+        self._queues = [([], set()) for _ in LOCAL_RULES]
+        self._filled = self._queues  # the queues ``touch`` fills
         self._cwis_flow: list[tuple[int, int, int]] = []
         self._cwis_idle_mark = -1
         self.lp_flows = 0
         w, adj, s = graph.plain_lists()
-        heaps = [heap for heap, _ in self._queues.values()]
         for v in graph.alive_vertices():
-            for heap, ok in zip(heaps, _screens(len(adj[v]), w[v], s[v])):
+            for (heap, _), ok in zip(self._queues, _screens(len(adj[v]), w[v], s[v])):
                 if ok:
                     heap.append(v)  # ascending, so each list is a heap
-        for heap, members in self._queues.values():
+        for heap, members in self._queues:
             members.update(heap)
 
     # ------------------------------------------------------------------
@@ -251,13 +256,13 @@ class ReductionEngine:
     # ------------------------------------------------------------------
 
     def touch(self, v: int) -> None:
-        """Queue ``v`` for every rule whose screen it passes."""
+        """Queue ``v`` for every rule the current mode drains whose screen
+        it passes."""
         g = self.g
         if not g.is_alive(v):
             return
         w, adj, s = g.plain_lists()
-        for (heap, members), ok in zip(self._queues.values(),
-                                       _screens(len(adj[v]), w[v], s[v])):
+        for (heap, members), ok in zip(self._filled, _screens(len(adj[v]), w[v], s[v])):
             if ok and v not in members:
                 members.add(v)
                 heapq.heappush(heap, v)
@@ -315,7 +320,7 @@ class ReductionEngine:
         del self.records[nrec:]
         self.offset = offset
         self._cwis_idle_mark = -1
-        for heap, members in self._queues.values():
+        for heap, members in self._queues:
             heap.clear()
             members.clear()
 
@@ -323,32 +328,32 @@ class ReductionEngine:
     # The scheduler
     # ------------------------------------------------------------------
 
-    def _enabled_rules(self, initial: bool) -> list[str]:
-        rules = list(LOCAL_RULES)
-        if self.variant == "dense":
-            if not initial:
-                rules.remove("neighborhood_folding")
-                rules.remove("neighbor_removal_meta")
-            return rules
-        return rules + [CRITICAL_RULE]
-
     def reduce(self, initial: bool = False, deadline: float | None = None) -> None:
-        """Apply the enabled rules to a fixpoint (or until the deadline)."""
-        rules = self._enabled_rules(initial)
-        self._clique_degree_cap = 2 if (self.variant == "dense" and not initial) else None
+        """Apply the rules to a fixpoint (or until the deadline).
+
+        The rules drained are the first ``k`` of ``LOCAL_RULES``, then, in
+        the ``full`` variant, the critical rule as index ``k``.  A ``dense``
+        reduce outside the initial one drops the last two local rules
+        (``_DENSE_BRANCH_RULES`` are kept) and holds the isolated rules to
+        cliques of degree at most 2.  Queues past ``k`` are emptied and stay
+        unfilled until a reduce drains them again."""
+        dense = self.variant == "dense"
+        k = _DENSE_BRANCH_RULES if dense and not initial else len(LOCAL_RULES)
+        self._filled = self._queues[:k]
+        for heap, members in self._queues[k:]:
+            heap.clear()
+            members.clear()
+        end = k if dense else k + 1
         i = 0
-        while i < len(rules):
+        while i < end:
             if deadline is not None and time.monotonic() >= deadline:
                 return
-            rule = rules[i]
-            if rule == CRITICAL_RULE:
-                changed = self.cwis_reduction(deadline)
-            else:
-                changed = self._drain(rule, deadline)
+            changed = self._drain(i, deadline) if i < k else self.cwis_reduction(deadline)
             i = 0 if changed else i + 1
 
-    def _drain(self, rule: str, deadline: float | None) -> bool:
-        heap, members = self._queues[rule]
+    def _drain(self, i: int, deadline: float | None) -> bool:
+        rule = LOCAL_RULES[i]
+        heap, members = self._queues[i]
         # Looked up on every drain, not cached: a wrapper installed on the
         # class (tracing counts rule calls this way) must take effect.
         apply_at = getattr(self, "_try_" + rule)
@@ -392,13 +397,13 @@ class ReductionEngine:
         return sorted(out)
 
     # ------------------------------------------------------------------
-    # The rules.  ``_try_<rule>(v)`` performs at most one application and
-    # reports whether the graph changed; the spec-shaped pair operations
-    # are public for direct use in tests.  A pair operation edits the graph
-    # only when it returns True, and its wrapper then returns at once, so
-    # the wrapper may loop over the live neighbor list.  A one-vertex rule
-    # is its own ``_try_`` entry through a class alias, which tracing can
-    # wrap alone.
+    # The rules, one method each.  ``_try_<rule>(v)`` performs at most one
+    # application and reports whether the graph changed; a rule written for
+    # one vertex is its own ``_try_`` entry through a class alias, which
+    # tracing can wrap alone.  The meta rule keeps its pair test
+    # ``neighbor_removal_meta``, which edits the graph only when it returns
+    # True; its wrapper then returns at once, so the wrapper may loop over
+    # the live neighbor list.
     # ------------------------------------------------------------------
 
     def neighborhood_removal(self, v: int) -> bool:
@@ -412,9 +417,9 @@ class ReductionEngine:
     _try_neighborhood_removal = neighborhood_removal
 
     def _try_weighted_domination(self, v: int) -> bool:
-        # The tests of ``weighted_domination`` for each edge (u, v), both
-        # ways; when both ways apply, the higher id goes, so of two
-        # equal-weight true twins the lower id stays.
+        # Each edge (u, v), both ways: ``u`` goes when ``N[u]`` covers
+        # ``N[v]`` and ``w(u) <= w(v)``.  When both ways apply, the higher
+        # id goes, so of two equal-weight true twins the lower id stays.
         w, adj, _ = self.g.plain_lists()
         nv = adj[v]
         wv, dv = w[v], len(nv)
@@ -427,18 +432,6 @@ class ReductionEngine:
                 self.remove_vertex(u if u_goes and (u > v or not v_goes) else v)
                 return True
         return False
-
-    def weighted_domination(self, u: int, v: int) -> bool:
-        """Remove ``u`` when ``N[u]`` covers ``N[v]`` and ``w(u) <= w(v)``."""
-        g = self.g
-        if g.weight(u) > g.weight(v) or g.degree(u) < g.degree(v):
-            return False  # the cover needs deg(u) >= deg(v)
-        if not _covers(g.neighbors(u), g.neighbors(v), skip=u):
-            return False
-        if u == v or not g.has_edge(u, v):
-            return False
-        self.remove_vertex(u)
-        return True
 
     def weighted_vertex_folding(self, v: int) -> bool:
         """Fold a degree-2 vertex with non-adjacent neighbors."""
@@ -463,8 +456,8 @@ class ReductionEngine:
         """Force in a simplicial vertex that is heaviest in its clique."""
         g = self.g
         nbrs = g.neighbors(v)
-        if self._clique_degree_cap is not None and len(nbrs) > self._clique_degree_cap:
-            return False
+        if len(nbrs) > 2 and len(self._filled) < len(LOCAL_RULES):
+            return False  # a dense reduce below the root
         wv = g.weight(v)
         if any(g.weight(u) > wv for u in nbrs):
             return False
@@ -485,8 +478,8 @@ class ReductionEngine:
         """
         g = self.g
         nbrs = list(g.neighbors(v))
-        if self._clique_degree_cap is not None and len(nbrs) > self._clique_degree_cap:
-            return False
+        if len(nbrs) > 2 and len(self._filled) < len(LOCAL_RULES):
+            return False  # a dense reduce below the root
         wv = g.weight(v)
         removed = [u for u in nbrs if g.weight(u) <= wv]
         if not removed:
@@ -509,47 +502,42 @@ class ReductionEngine:
 
     _try_isolated_weight_transfer = isolated_weight_transfer
 
-    def _try_weighted_twin(self, v: int) -> bool:
+    def weighted_twin(self, v: int) -> bool:
+        """Include or fold ``v`` and its twin over an independent degree-3
+        neighborhood.  Only the first twin in ``v``'s first neighbor's list
+        is tried."""
         g = self.g
         if g.degree(v) != 3:
             return False
-        nv = g.neighbors(v)
-        for u in list(g.neighbors(nv[0])):
-            if u != v and g.degree(u) == 3 and g.neighbors(u) == nv:
-                return self.weighted_twin(min(u, v), max(u, v))
-        return False
-
-    def weighted_twin(self, u: int, v: int) -> bool:
-        """Twins over an independent degree-3 neighborhood: include or fold."""
-        g = self.g
-        if u == v or g.has_edge(u, v):
-            return False
-        nbrs = g.neighbors(u)
-        if len(nbrs) != 3 or g.neighbors(v) != nbrs:
+        nbrs = g.neighbors(v)
+        for twin in g.neighbors(nbrs[0]):
+            if twin != v and g.degree(twin) == 3 and g.neighbors(twin) == nbrs:
+                break
+        else:
             return False
         if not self._is_independent(nbrs):
             return False
+        pair = (min(twin, v), max(twin, v))
         p, q, r = nbrs
-        w_twins = g.weight(u) + g.weight(v)
+        w_twins = g.weight(twin) + g.weight(v)
         w_nbrs = g.weight(p) + g.weight(q) + g.weight(r)
         if w_twins >= w_nbrs:
-            pair = tuple(sorted((u, v)))
             self._push_record(FoldRecord(
                 rule="weighted_twin", consumed=pair + (p, q, r),
                 offset=w_twins, forced=pair))
-            for x in (p, q, r):
+            for x in (p, q, r, *pair):
                 self.remove_vertex(x)
-            self.remove_vertex(u)
-            self.remove_vertex(v)
             return True
         if w_twins > w_nbrs - min(g.weight(p), g.weight(q), g.weight(r)):
-            group = (u, v, p, q, r)
+            group = pair + (p, q, r)
             vid = self.fold(group, w_nbrs - w_twins)
             self._push_record(FoldRecord(
                 rule="weighted_twin", consumed=group, offset=w_twins,
-                introduced=vid, fold_in=(p, q, r), fold_out=tuple(sorted((u, v)))))
+                introduced=vid, fold_in=(p, q, r), fold_out=pair))
             return True
         return False
+
+    _try_weighted_twin = weighted_twin
 
     def neighborhood_folding(self, v: int) -> bool:
         """Fold ``v`` with its independent neighborhood when only the full

@@ -47,10 +47,6 @@ _LS_STALL = 32        # ILS stops after this many rounds without improvement
 _LS_FRACTION = 0.05   # share of the time limit one ILS run may take, at most 10 s
 _LS_MIN_SIZE = 12     # subproblems smaller than this get no ILS bound
 
-# Both upper bounds are looked up here at call time, so that a test can
-# switch pruning off and a tracer can wrap them.
-lp_bound = ReductionEngine.lp_bound
-
 
 @dataclass
 class SolverConfig:
@@ -236,7 +232,7 @@ class _Machine:
         reduction fixpoint, and stops its flow once the prune is proved.
         A flow or a cover cut short by the deadline bounds nothing."""
         flows = eng.lp_flows
-        lp = lp_bound(eng, self.deadline, slack)
+        lp = eng.lp_bound(self.deadline, slack)
         self.stats.lp_flows += eng.lp_flows - flows
         if lp is not None and lp <= slack:
             return True

@@ -1,4 +1,4 @@
-"""Deterministic graph builders shared by the tests."""
+"""Deterministic graph builders and reference checks shared by the tests."""
 
 import heapq
 import random
@@ -101,23 +101,39 @@ def copy_graph(g):
     return g.compact_copy()[0]
 
 
+def validate_cover(graph, cliques, weights):
+    """Assert that the weighted cliques cover the alive vertices of
+    ``graph``: each is a clique, and each vertex's cliques carry at least
+    its weight."""
+    covered = {}
+    for clique, w in zip(cliques, weights):
+        for i, u in enumerate(clique):
+            covered[u] = covered.get(u, 0) + w
+            for x in clique[i + 1:]:
+                assert graph.has_edge(u, x), f"clique member pair {u},{x} not adjacent"
+    assert set(covered) == set(graph.alive_vertices()), "cover does not span the alive vertices"
+    for v in graph.alive_vertices():
+        assert covered[v] >= graph.weight(v), f"vertex {v} not covered by enough clique weight"
+
+
 class ScanEngine(ReductionEngine):
     """Reference scheduler: re-queues every alive vertex before each drain,
     so it checks every rule everywhere instead of at dirty vertices only."""
 
-    def _drain(self, rule, deadline):
-        heap, members = self._queues[rule]
+    def _drain(self, i, deadline):
+        heap, members = self._queues[i]
         for v in self.g.alive_vertices():
             if v not in members:
                 members.add(v)
                 heapq.heappush(heap, v)
-        return super()._drain(rule, deadline)
+        return super()._drain(i, deadline)
 
 
 class UnscreenedEngine(ReductionEngine):
     """Reference for the engine's screens: ``touch`` queues every touched
-    vertex for every rule, and every alive vertex starts queued for every
-    rule, so each rule is also tried where its screen says it cannot fire."""
+    vertex for every rule the engine fills, and every alive vertex starts
+    queued for every rule, so each rule is also tried where its screen says
+    it cannot fire."""
 
     def __init__(self, graph, variant="full", stats=None):
         super().__init__(graph, variant=variant, stats=stats)
@@ -127,7 +143,7 @@ class UnscreenedEngine(ReductionEngine):
     def touch(self, v):
         if not self.g.is_alive(v):
             return
-        for heap, members in self._queues.values():
+        for heap, members in self._filled:
             if v not in members:
                 members.add(v)
                 heapq.heappush(heap, v)

@@ -19,7 +19,7 @@ from mwis import (ReductionEngine, SolverConfig,
                   clique_cover_bound, critical_weighted_set, ils_run,
                   lift_solution, reduce_to_kernel, solve)
 import mwis.solver
-from mwis import graph_io
+from mwis import graph_io, reductions
 from mwis.solution import verify_independent_set, verify_solution
 
 HYBRID_BUDGET_SEC = 10.0
@@ -70,13 +70,11 @@ def test_01_oracle_exactness():
             f"{checked} solves matched the oracle in {time.monotonic() - t0:.1f}s")
 
 
-RULES = ["neighborhood_removal", "weighted_domination", "weighted_vertex_folding",
-         "isolated_vertex_removal", "isolated_weight_transfer", "weighted_twin",
-         "neighborhood_folding", "neighbor_removal_meta", "critical_set"]
+RULES = reductions.LOCAL_RULES + (reductions.CRITICAL_RULE,)
 
 
 def _apply_rule_once(engine, rule):
-    if rule == "critical_set":
+    if rule == reductions.CRITICAL_RULE:
         return engine.cwis_reduction()
     try_fn = getattr(engine, "_try_" + rule)
     for v in sorted(engine.g.alive_vertices()):
@@ -131,7 +129,7 @@ def test_04_bound_soundness_and_prune_ab(monkeypatch):
     graphs = [random_graph(seed, 24, 0.4) for seed in range(20)]
     on = [solve(g) for g in graphs]
     monkeypatch.setattr(mwis.solver, "clique_cover_bound", lambda g, deadline=None: None)
-    monkeypatch.setattr(mwis.solver, "lp_bound", lambda eng, deadline, slack=None: None)
+    monkeypatch.setattr(ReductionEngine, "lp_bound", lambda eng, deadline, slack=None: None)
     off = [solve(g) for g in graphs]
     for seed, (a, b) in enumerate(zip(on, off)):
         assert a.solution.weight == b.solution.weight, seed

@@ -6,42 +6,43 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import clique_graph, cubic_graph, path_graph, random_graph, small_graphs
+from helpers import (clique_graph, cubic_graph, path_graph, random_graph, small_graphs,
+                     validate_cover)
 from mwis import (ReductionEngine, SolverConfig, WeightedGraph, brute_force_mwis,
                   build_clique_cover, clique_cover_bound, critical_weighted_set, solve)
 
 
 def test_triangle_single_clique():
     g = clique_graph([5, 3, 2])
-    cover = build_clique_cover(g)
-    assert len(cover.cliques) == 1
-    assert cover.bound == 5
-    assert cover.bound == brute_force_mwis(g).weight
+    cliques, weights = build_clique_cover(g)
+    assert len(cliques) == 1
+    assert sum(weights) == 5
+    assert sum(weights) == brute_force_mwis(g).weight
 
 
 def test_edgeless_singletons():
     g = WeightedGraph([1, 2, 3])
-    cover = build_clique_cover(g)
-    assert len(cover.cliques) == 3
-    assert cover.bound == 6 == brute_force_mwis(g).weight
+    cliques, weights = build_clique_cover(g)
+    assert len(cliques) == 3
+    assert sum(weights) == 6 == brute_force_mwis(g).weight
 
 
 def test_path_2_5_2():
     g = path_graph([2, 5, 2])
-    cover = build_clique_cover(g)
+    cliques, weights = build_clique_cover(g)
     # heavy middle opens {b}, light 'a' joins it, 'c' stays a singleton
-    assert sorted(len(c) for c in cover.cliques) == [1, 2]
-    assert cover.bound == 7
-    assert cover.bound >= brute_force_mwis(g).weight == 5
+    assert sorted(len(c) for c in cliques) == [1, 2]
+    assert sum(weights) == 7
+    assert sum(weights) >= brute_force_mwis(g).weight == 5
 
 
 def test_cover_validity_and_soundness_random():
     for seed in range(80):
         n = 1 + seed % 15
         g = random_graph(seed, n, [0.1, 0.3, 0.6][seed % 3])
-        cover = build_clique_cover(g)
-        cover.validate(g)
-        assert cover.bound >= brute_force_mwis(g).weight
+        cliques, weights = build_clique_cover(g)
+        validate_cover(g, cliques, weights)
+        assert sum(weights) == clique_cover_bound(g) >= brute_force_mwis(g).weight
 
 
 def test_bound_of_empty_graph_is_zero():

@@ -2,12 +2,12 @@
 
 import pytest
 
-from helpers import (ScanEngine, clique_graph, copy_graph, cycle_graph,
+from helpers import (ScanEngine, clique_graph, copy_graph, cycle_graph, gnm_graph,
                      path_graph, random_graph, random_tree, star_graph,
                      structured_family, twin_gadget_graph)
 from mwis import (CertificateError, ReductionEngine, WeightedGraph,
                   brute_force_mwis, critical_weighted_set, lift_solution,
-                  reduce_to_kernel)
+                  reduce_to_kernel, select_branch_vertex)
 from mwis import reductions
 from mwis.solution import verify_independent_set
 
@@ -281,7 +281,7 @@ def test_vertex_folding_lift():
 def test_twin_include_case():
     g = structured_family()["twin_include"]
     eng = ReductionEngine(g)
-    assert eng.weighted_twin(0, 1)
+    assert eng.weighted_twin(0)
     assert eng.offset == 10 and g.n_alive == 0
     assert lift_solution((), eng.records) == {0, 1}
 
@@ -290,7 +290,7 @@ def test_twin_fold_case():
     original = structured_family()["twin_fold"]
     g = structured_family()["twin_fold"]
     eng = ReductionEngine(g)
-    assert eng.weighted_twin(0, 1)
+    assert eng.weighted_twin(0)
     assert eng.offset == 7
     vid = max(g.alive_vertices())
     assert g.weight(vid) == 2
@@ -303,14 +303,14 @@ def test_twin_neither_case():
     g = WeightedGraph([2, 2, 3, 3, 3],
                       [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
     eng = ReductionEngine(g)
-    assert not eng.weighted_twin(0, 1)
+    assert not eng.weighted_twin(0)
 
 
 def test_twin_requires_independent_neighborhood():
     g = WeightedGraph([5, 5, 3, 3, 3],
                       [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)])
     eng = ReductionEngine(g)
-    assert not eng.weighted_twin(0, 1)
+    assert not eng.weighted_twin(0)
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +322,7 @@ def test_domination_example():
     original = structured_family()["domination"]
     g = structured_family()["domination"]
     eng = ReductionEngine(g)
-    assert eng.weighted_domination(0, 3)
+    assert eng._try_weighted_domination(3)
     assert not g.is_alive(0) and eng.offset == 0
     check_alpha_preserved(original, eng)
 
@@ -342,10 +342,11 @@ def test_domination_equal_true_twins_keep_lower_id():
 
 
 def test_domination_blocked_by_weight():
-    g = WeightedGraph([5, 3, 2], [(0, 1), (0, 2), (1, 2)])
     # 0 dominates 1 structurally but is heavier, so 0 must stay
-    eng = ReductionEngine(g)
-    assert not eng.weighted_domination(0, 1)
+    for v in (0, 1, 2):
+        g = WeightedGraph([5, 3, 2], [(0, 1), (0, 2), (1, 2)])
+        assert ReductionEngine(g)._try_weighted_domination(v)
+        assert g.is_alive(0)
 
 
 # ----------------------------------------------------------------------
@@ -448,13 +449,11 @@ def test_lift_rejects_non_independent_input():
 # safety of every rule in isolation
 # ----------------------------------------------------------------------
 
-RULES = ["neighborhood_removal", "weighted_domination", "weighted_vertex_folding",
-         "isolated_vertex_removal", "isolated_weight_transfer", "weighted_twin",
-         "neighborhood_folding", "neighbor_removal_meta", "critical_set"]
+RULES = reductions.LOCAL_RULES + (reductions.CRITICAL_RULE,)
 
 
 def apply_rule_once(engine, rule):
-    if rule == "critical_set":
+    if rule == reductions.CRITICAL_RULE:
         return engine.cwis_reduction()
     try_fn = getattr(engine, "_try_" + rule)
     for v in sorted(engine.g.alive_vertices()):
@@ -554,6 +553,18 @@ def test_screens_reject_only_where_the_rule_cannot_fire():
     screened = [r for r in reductions.LOCAL_RULES
                 if r not in ("weighted_domination", "neighbor_removal_meta")]
     assert all(rejected[r] > 0 for r in screened), rejected
+
+
+def test_dense_branch_reduce_leaves_no_queue_filled():
+    # Below the root a dense reduce drains only a prefix of the rules; the
+    # queues of the two it drops must not collect vertices that no drain pops.
+    g = gnm_graph(1, 150, 375)
+    eng = ReductionEngine(g, variant="dense")
+    eng.reduce(initial=True)
+    assert g.n_alive > 0
+    eng.include_vertex(select_branch_vertex(g))
+    eng.reduce()
+    assert all(not heap and not members for heap, members in eng._queues)
 
 
 def test_reduce_dispatches_through_the_class_try_attribute(monkeypatch):

@@ -128,7 +128,7 @@ def test_pruning_toggle_preserves_weight(monkeypatch):
     graphs = [random_graph(seed, 26, 0.4) for seed in (1, 5, 9)]
     on = [solve(g) for g in graphs]
     monkeypatch.setattr(mwis.solver, "clique_cover_bound", lambda g, deadline=None: None)
-    monkeypatch.setattr(mwis.solver, "lp_bound", lambda eng, deadline, slack=None: None)
+    monkeypatch.setattr(ReductionEngine, "lp_bound", lambda eng, deadline, slack=None: None)
     off = [solve(g) for g in graphs]
     for a, b in zip(on, off):
         assert a.solution.weight == b.solution.weight
@@ -146,7 +146,7 @@ BOUND_OFF = {"clique_cover_bound": lambda g, deadline=None: None,
 def test_either_bound_alone_prunes(monkeypatch, variant, off):
     g = random_graph(1, 40, 0.3)
     both = solve(g, SolverConfig(variant=variant))
-    monkeypatch.setattr(mwis.solver, off, BOUND_OFF[off])
+    monkeypatch.setattr(ReductionEngine if off == "lp_bound" else mwis.solver, off, BOUND_OFF[off])
     r = solve(g, SolverConfig(variant=variant))
     assert r.solution.optimal and r.solution.weight == both.solution.weight
     assert r.stats.prunes > 0 and r.stats.nodes >= both.stats.nodes
@@ -164,8 +164,9 @@ def test_lp_prune_test_searches_like_the_exact_lp(monkeypatch, variant):
     graphs = [random_graph(seed, 40, 0.2) for seed in (0, 2, 3, 5)]
     decided = [solve(g, SolverConfig(variant=variant)) for g in graphs]
     assert all(a.stats.prunes for a in decided)
-    monkeypatch.setattr(mwis.solver, "lp_bound",
-                        lambda eng, deadline, slack=None: ReductionEngine.lp_bound(eng, deadline))
+    exact_lp = ReductionEngine.lp_bound
+    monkeypatch.setattr(ReductionEngine, "lp_bound",
+                        lambda eng, deadline, slack=None: exact_lp(eng, deadline))
     for g, a in zip(graphs, decided):
         b = solve(g, SolverConfig(variant=variant))
         assert (a.stats.nodes, a.stats.prunes) == (b.stats.nodes, b.stats.prunes)
@@ -185,7 +186,7 @@ def test_lp_flows_counts_the_bound_flows(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(mwis.solver, "lp_bound", counted("bound", ReductionEngine.lp_bound))
+    monkeypatch.setattr(ReductionEngine, "lp_bound", counted("bound", ReductionEngine.lp_bound))
     monkeypatch.setattr(mwis.reductions, "critical_value",
                         counted("flow", mwis.reductions.critical_value))
     dense = solve(g, SolverConfig(variant="dense"))
