@@ -1,11 +1,11 @@
-"""Backend selection for the numeric hot loops.
+"""Backend selection for the local-search core.
 
-Two numeric loops are written as plain loops so that they can either be
-JIT-compiled with numba or executed as-is: the brute-force subset
-enumeration of the reference oracle, over numpy arrays, and the local search
-inner loop, over numpy arrays under numba and Python lists otherwise.  The solver's own exact work (reductions, including the
-meta rule's local subsolves, and the branch and bound) is plain Python on
-either backend.
+The inner loops of the iterated local search (:mod:`mwis._ls_core`) are
+written as plain loops so that they can either be JIT-compiled with numba,
+over ``int64`` arrays, or run as-is, over Python lists.  Everything else is
+plain Python or numpy on either backend: the solver's exact work
+(reductions, including the meta rule's local subsolves, and the branch and
+bound) and the brute-force oracle's vectorized subset scan.
 
 The backend is chosen once at import time from the ``MWIS_BACKEND``
 environment variable:

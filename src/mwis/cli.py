@@ -144,7 +144,7 @@ def cmd_ls(args) -> int:
         args.iterations = 10000
     t0 = time.monotonic()
     res = ils_run(g, iterations=args.iterations, time_limit=args.time_limit,
-                  seed=args.seed, start_time=t0)
+                  seed=args.seed)
     record = graph_io.result_record(
         _instance_name(args), g, res.solution.vertices, res.solution.weight,
         False, time.monotonic() - t0, args.seed, "ls", g.n_alive, g.m_alive)
@@ -158,8 +158,8 @@ def cmd_hybrid(args) -> int:
     t0 = time.monotonic()
     work, mapping = g.compact_copy()
     kr = reduce_to_kernel(work, variant=args.variant)
-    reduce_done = time.monotonic()
-    convergence = [(reduce_done - t0, kr.offset)]
+    reduced_at = time.monotonic() - t0
+    convergence = [(reduced_at, kr.offset)]
     kernel_sol: tuple[int, ...] = ()
     if kr.kernel.w_alive > MAX_TOTAL_WEIGHT:
         # the local search sums in int64; complete the kernel greedily instead
@@ -171,12 +171,12 @@ def cmd_hybrid(args) -> int:
         if args.time_limit is None and iterations is None:
             iterations = 10000
         remaining = None
-        if args.time_limit is not None:
-            remaining = max(args.time_limit - (reduce_done - t0), 0.0)
+        if args.time_limit is not None:  # the limit covers reduce and search
+            remaining = max(args.time_limit - reduced_at, 0.0)
         res = ils_run(kr.kernel, iterations=iterations,
-                      time_limit=remaining, seed=args.seed, start_time=t0)
+                      time_limit=remaining, seed=args.seed)
         kernel_sol = res.solution.vertices
-        convergence.extend((t, w + kr.offset) for t, w in res.convergence)
+        convergence.extend((reduced_at + t, w + kr.offset) for t, w in res.convergence)
     lifted = lift_solution(kernel_sol, kr.stack)
     chosen = {mapping[v] for v in lifted}
     solution = Solution.of(g, chosen)

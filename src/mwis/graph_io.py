@@ -294,6 +294,8 @@ def read_lifting(fh: TextIO) -> tuple[int, list[int], tuple[FoldRecord, ...]]:
                     raise ParseError(f"unknown record kind {kind!r}", lineno)
             else:
                 raise ParseError(f"unknown sidecar line {parts[0]!r}", lineno)
+        except ParseError:
+            raise
         except (IndexError, KeyError, ValueError):
             raise ParseError(f"malformed sidecar line {line!r}", lineno) from None
     return offset, kernel_map, tuple(records)

@@ -22,7 +22,8 @@ which the interpreter indexes faster than numpy arrays, and ``int64`` arrays
 under numba.
 
 Runs are deterministic given (graph, seed, round budget); a wall-clock
-budget simply stops issuing rounds once the deadline passes.
+budget hands the core one round at a time and stops issuing rounds once the
+deadline passes, so it overshoots by about one round.
 """
 
 from __future__ import annotations
@@ -132,19 +133,22 @@ class LsResult:
 
 def ils_run(graph: WeightedGraph, iterations: int | None = None,
             time_limit: float | None = None, seed: int = 0,
-            start_time: float | None = None, stall: int | None = None) -> LsResult:
+            stall: int | None = None) -> LsResult:
     """Run the iterated local search under a round and/or time budget.
 
-    At least one budget must be given.  With ``stall`` set the run also
-    stops at the first round that leaves the best weight unimproved for
-    ``stall`` rounds in a row, whatever the chunk size.  Emits a
-    ``(elapsed_seconds, weight)`` convergence entry whenever the best known
-    weight improves (observed at chunk granularity).  ``start_time`` lets
-    callers anchor the elapsed clock; defaults to now.
+    At least one budget must be given; a time budget runs from the call.
+    Under a time budget the core runs one round per call and the clock is
+    read after each, so the run stops within about one round of its limit;
+    a round budget alone runs chunks of ``_CHUNK_ROUNDS`` rounds.  The
+    trajectory does not depend on that chunking.  With ``stall`` set the run
+    also stops at the first round that leaves the best weight unimproved
+    for ``stall`` rounds in a row.  Emits an ``(elapsed_seconds, weight)``
+    convergence entry whenever the best known weight improves, observed
+    after each core call.
     """
     if iterations is None and time_limit is None:
         raise ValueError("ils_run needs an iteration or time budget")
-    t0 = time.monotonic() if start_time is None else start_time
+    t0 = time.monotonic()
     deadline = None if time_limit is None else t0 + time_limit
     if graph.n_alive == 0:
         return LsResult(Solution((), 0), 0, [])
@@ -152,12 +156,13 @@ def ils_run(graph: WeightedGraph, iterations: int | None = None,
     convergence: list[tuple[float, int]] = []
     logged = 0
     done = 0
+    per_call = _CHUNK_ROUNDS if deadline is None else 1
     while True:
         if deadline is not None and time.monotonic() >= deadline:
             break
         if iterations is not None and done >= iterations:
             break
-        chunk = _CHUNK_ROUNDS if iterations is None else min(_CHUNK_ROUNDS, iterations - done)
+        chunk = per_call if iterations is None else min(per_call, iterations - done)
         if stall is not None:
             chunk = min(chunk, stall - int(st.state[core.S_FAILS]))
             if chunk <= 0:
@@ -167,7 +172,7 @@ def ils_run(graph: WeightedGraph, iterations: int | None = None,
         if st.best_weight > logged:
             logged = st.best_weight
             convergence.append((time.monotonic() - t0, logged))
-    if st.state[core.S_INIT] == 0:  # deadline hit before the first chunk
+    if st.state[core.S_INIT] == 0:  # deadline hit before the first call
         st.run_rounds(0)
         if st.best_weight > logged:
             convergence.append((time.monotonic() - t0, st.best_weight))

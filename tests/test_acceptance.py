@@ -6,6 +6,9 @@ instances under a ten-second wall budget each, twice); everything else
 finishes in seconds.
 """
 
+import contextlib
+import io
+import json
 import random
 import time
 
@@ -16,10 +19,11 @@ from helpers import (ScanEngine, clique_graph, copy_graph, cycle_graph,
                      star_graph, structured_family, twin_gadget_graph)
 from mwis import (ReductionEngine, SolverConfig,
                   brute_force_critical_set, brute_force_mwis,
-                  clique_cover_bound, critical_weighted_set, ils_run,
+                  clique_cover_bound, critical_weighted_set,
                   lift_solution, reduce_to_kernel, solve)
 import mwis.solver
 from mwis import graph_io, reductions
+from mwis.cli import main
 from mwis.solution import verify_independent_set, verify_solution
 
 HYBRID_BUDGET_SEC = 10.0
@@ -215,28 +219,29 @@ def test_08_determinism():
             f"{identical}/3 configs gave byte-identical records and stats")
 
 
-def _hybrid_weight(g, budget, seed):
-    t0 = time.monotonic()
-    work = copy_graph(g)
-    kr = reduce_to_kernel(work)
-    remaining = max(budget - (time.monotonic() - t0), 0.1)
-    if kr.kernel.n_alive:
-        res = ils_run(kr.kernel, time_limit=remaining, seed=seed)
-        lifted = lift_solution(res.solution.vertices, kr.stack)
-    else:
-        lifted = lift_solution((), kr.stack)
-    return verify_independent_set(g, lifted)
+def _cli_record(argv):
+    """Run a shipped ``mwis`` command and return its result record."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return json.loads(out.getvalue())
 
 
 @pytest.mark.slow
-def test_09_hybrid_improvement():
+def test_09_hybrid_improvement(tmp_path):
+    # both modes run as shipped, from the same file under the same budget
     at_least, strictly = 0, 0
     for seed in range(20):
         g = gnm_graph(seed, 5000, 10000)
-        ls = ils_run(g, time_limit=HYBRID_BUDGET_SEC, seed=seed)
-        hybrid = _hybrid_weight(g, HYBRID_BUDGET_SEC, seed)
-        at_least += hybrid >= ls.solution.weight
-        strictly += hybrid > ls.solution.weight
+        path = tmp_path / f"gnm-{seed}.graph"
+        path.write_text(graph_io.serialize_graph(g))
+        budget = ["--time-limit", str(HYBRID_BUDGET_SEC), "--seed", str(seed)]
+        ls = _cli_record(["ls", str(path), *budget])["weight"]
+        record = _cli_record(["hybrid", str(path), *budget])
+        hybrid = verify_independent_set(g, [v - 1 for v in record["solution"]])
+        assert hybrid == record["weight"]
+        at_least += hybrid >= ls
+        strictly += hybrid > ls
     ok = at_least >= 18 and strictly >= 10
     _report("hybrid improvement", ok,
             f"hybrid >= ls on {at_least}/20, strictly better on {strictly}/20")

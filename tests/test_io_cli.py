@@ -12,7 +12,7 @@ import pytest
 
 import mwis
 
-from helpers import random_graph
+from helpers import gnm_graph, random_graph
 from mwis import ParseError, WeightedGraph, brute_force_mwis, lift_solution
 from mwis import graph_io
 from mwis.cli import main
@@ -139,6 +139,31 @@ def test_lifting_sidecar_round_trip():
     assert verify_independent_set(original, lifted) == best.weight + offset
     from mwis import solve
     assert best.weight + offset == solve(original).solution.weight
+
+
+SIDECAR_HEAD = "% lifting sidecar\noffset 5\nmap 1 2\n"  # the bad line comes fourth
+
+
+@pytest.mark.parametrize("line, message", [
+    ("bogus 1", "unknown sidecar line 'bogus'"),
+    ("rec merge r forced=1 consumed=1 offset=0", "unknown record kind 'merge'"),
+    ("rec include r forced=1 offset=0", "malformed sidecar line"),  # no consumed=
+    ("map 3 1", "map lines out of order"),
+    ("map 2 x", "malformed sidecar line"),
+    ("rec include r forced=1,b consumed=1 offset=0", "malformed sidecar line"),
+])
+def test_sidecar_reader_names_the_bad_line(line, message, tmp_path, capsys):
+    text = SIDECAR_HEAD + line + "\n"
+    with pytest.raises(ParseError) as exc:
+        graph_io.read_lifting(io.StringIO(text))
+    assert exc.value.line == 4 and message in str(exc.value)
+    gpath, lpath, ksol = tmp_path / "g.graph", tmp_path / "l.side", tmp_path / "ksol.txt"
+    gpath.write_text("3 2 10\n5 2\n7 1 3\n2 2\n")
+    lpath.write_text(text)
+    ksol.write_text("1\n")
+    assert main(["lift", str(gpath), str(ksol), "--lift", str(lpath)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 4: ") and message in err and err.count("\n") == 1
 
 
 # ----------------------------------------------------------------------
@@ -287,6 +312,19 @@ def test_cli_ls_reports_its_wall_time(tmp_path, capsys):
     gpath.write_text(graph_io.serialize_graph(random_graph(4, 30, 0.15)))
     assert main(["ls", str(gpath), "--time-limit", "0.3"]) == 0
     assert json.loads(capsys.readouterr().out)["elapsed_sec"] >= 0.3
+
+
+def test_cli_hybrid_time_limit_covers_reduce_and_search(tmp_path, capsys):
+    # reduce takes over half the limit here, so a search budget that also
+    # counted from the start of reduce would end before the search began
+    gpath = tmp_path / "g.graph"
+    gpath.write_text(graph_io.serialize_graph(gnm_graph(1, 5000, 12500)))
+    conv = tmp_path / "conv.csv"
+    assert main(["hybrid", str(gpath), "--time-limit", "0.8", "--convergence", str(conv)]) == 0
+    assert json.loads(capsys.readouterr().out)["elapsed_sec"] >= 0.8
+    rows = [line.split(",") for line in conv.read_text().splitlines()[1:]]
+    times, weights = [float(t) for t, _ in rows], [int(w) for _, w in rows]
+    assert times == sorted(times) and weights == sorted(set(weights))
 
 
 def test_cli_gen_weights_and_fmt0_flow(tmp_path, capsys):

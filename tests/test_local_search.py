@@ -124,6 +124,16 @@ def test_chunking_does_not_change_the_trajectory():
         assert list(st1.state) == list(st2.state)
 
 
+def test_time_limit_stops_within_a_round():
+    # late rounds perturb thousands of vertices each, so 32 of them take
+    # seconds on this graph, while one round takes about 0.1 s
+    g = cubic_graph(1, 20000, wmax=1)
+    t0 = time.monotonic()
+    res = ils_run(g, time_limit=0.5)
+    assert time.monotonic() - t0 < 1.0
+    assert res.rounds > 0
+
+
 def _stalled_replay(g, seed, stall, iterations):
     """One round at a time until ``stall`` rounds in a row brought nothing."""
     st = LsState(g, seed=seed)

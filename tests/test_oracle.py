@@ -1,12 +1,12 @@
-"""Brute-force oracle behavior, including backend agreement."""
+"""Brute-force oracle behavior: optima, the tie-break, size and weight limits,
+and the critical-set scan."""
 
 import pytest
 
 from helpers import clique_graph, cycle_graph, path_graph, random_graph, star_graph
 from mwis import (GraphError, OracleSizeError, WeightedGraph,
                   brute_force_critical_set, brute_force_mwis)
-from mwis.oracle import (_enum_mwis_loop, _enum_mwis_numpy, _masks_of,
-                         subgraph_mwis_weight)
+from mwis.oracle import _masks_of, subgraph_mwis_weight
 from mwis.solution import verify_independent_set
 
 
@@ -56,13 +56,6 @@ def test_returns_independent_set():
         g = random_graph(seed, 12, 0.4)
         sol = brute_force_mwis(g)
         assert verify_independent_set(g, sol.vertices) == sol.weight
-
-
-def test_loop_and_numpy_enumerations_agree():
-    for seed in range(30):
-        g = random_graph(seed, 11, 0.35)
-        adj, w = _masks_of(g, sorted(g.alive_vertices()))
-        assert _enum_mwis_loop(adj, w) == _enum_mwis_numpy(adj, w)
 
 
 def test_subgraph_weight_matches_full_oracle():
