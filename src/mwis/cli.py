@@ -62,8 +62,9 @@ def _load_graph(args) -> WeightedGraph:
     return g
 
 
-def _emit(record: dict) -> None:
-    print(graph_io.format_record(record))
+def _emit(args, n: int, m: int, elapsed: float, variant: str, **fields) -> None:
+    print(graph_io.format_record(graph_io.result_record(
+        os.path.basename(args.graph), n, m, elapsed, args.seed, variant, **fields)))
 
 
 def _write_convergence(args, entries) -> None:
@@ -72,20 +73,15 @@ def _write_convergence(args, entries) -> None:
             graph_io.write_convergence(entries, fh)
 
 
-def _instance_name(args) -> str:
-    return os.path.basename(args.graph)
-
-
 def cmd_solve(args) -> int:
     g = _load_graph(args)
     config = SolverConfig(variant=args.variant, time_limit=args.time_limit,
                           seed=args.seed)
     result = solve(g, config)
-    record = graph_io.result_record(
-        _instance_name(args), g, result.solution.vertices,
-        result.solution.weight, result.solution.optimal, result.elapsed,
-        args.seed, args.variant, result.kernel_n, result.kernel_m)
-    _emit(record)
+    _emit(args, g.n_alive, g.m_alive, result.elapsed, args.variant,
+          weight=result.solution.weight, optimal=result.solution.optimal,
+          kernel_n=result.kernel_n, kernel_m=result.kernel_m,
+          solution=result.solution.vertices)
     _write_convergence(args, result.convergence)
     return 0
 
@@ -97,19 +93,11 @@ def cmd_reduce(args) -> int:
     kr = reduce_to_kernel(g, variant=args.variant)
     elapsed = time.monotonic() - t0
     kernel_map = sorted(kr.kernel.alive_vertices())
-    with open(args.kernel_out, "w", encoding="utf-8") as fh:
-        fh.write(graph_io.serialize_graph(kr.kernel))
+    graph_io.write_graph(kr.kernel, args.kernel_out)
     with open(args.lift, "w", encoding="utf-8") as fh:
         graph_io.write_lifting(kr.offset, kernel_map, kr.stack, fh)
-    record = {
-        "instance": _instance_name(args),
-        "n": n0, "m": m0,
-        "kernel_n": kr.kernel.n_alive, "kernel_m": kr.kernel.m_alive,
-        "offset": kr.offset,
-        "elapsed_sec": round(elapsed, 6),
-        "seed": args.seed, "variant": args.variant,
-    }
-    _emit(record)
+    _emit(args, n0, m0, elapsed, args.variant, kernel_n=kr.kernel.n_alive,
+          kernel_m=kr.kernel.m_alive, offset=kr.offset)
     return 0
 
 
@@ -125,16 +113,8 @@ def cmd_lift(args) -> int:
         raise CertificateError(
             f"lifted weight {weight} is not the claimed kernel weight {claimed} "
             f"plus the offset {offset}")
-    record = {
-        "instance": _instance_name(args),
-        "n": g.n_alive, "m": g.m_alive,
-        "weight": weight, "optimal": False,
-        "elapsed_sec": round(time.monotonic() - t0, 6),
-        "seed": args.seed, "variant": "lift",
-        "kernel_n": len(kernel_map), "offset": offset,
-        "solution": [v + 1 for v in sorted(lifted)],
-    }
-    _emit(record)
+    _emit(args, g.n_alive, g.m_alive, time.monotonic() - t0, "lift", weight=weight,
+          optimal=False, kernel_n=len(kernel_map), offset=offset, solution=lifted)
     return 0
 
 
@@ -145,16 +125,17 @@ def cmd_ls(args) -> int:
     t0 = time.monotonic()
     res = ils_run(g, iterations=args.iterations, time_limit=args.time_limit,
                   seed=args.seed)
-    record = graph_io.result_record(
-        _instance_name(args), g, res.solution.vertices, res.solution.weight,
-        False, time.monotonic() - t0, args.seed, "ls", g.n_alive, g.m_alive)
-    _emit(record)
+    _emit(args, g.n_alive, g.m_alive, time.monotonic() - t0, "ls",
+          weight=res.solution.weight, optimal=False, kernel_n=g.n_alive,
+          kernel_m=g.m_alive, solution=res.solution.vertices)
     _write_convergence(args, res.convergence)
     return 0
 
 
 def cmd_hybrid(args) -> int:
     g = _load_graph(args)
+    if args.time_limit is None and args.iterations is None:
+        args.iterations = 10000
     t0 = time.monotonic()
     work, mapping = g.compact_copy()
     kr = reduce_to_kernel(work, variant=args.variant)
@@ -167,13 +148,10 @@ def cmd_hybrid(args) -> int:
         kernel_sol = greedy.vertices
         convergence.append((time.monotonic() - t0, kr.offset + greedy.weight))
     elif kr.kernel.n_alive > 0:
-        iterations = args.iterations
-        if args.time_limit is None and iterations is None:
-            iterations = 10000
         remaining = None
         if args.time_limit is not None:  # the limit covers reduce and search
             remaining = max(args.time_limit - reduced_at, 0.0)
-        res = ils_run(kr.kernel, iterations=iterations,
+        res = ils_run(kr.kernel, iterations=args.iterations,
                       time_limit=remaining, seed=args.seed)
         kernel_sol = res.solution.vertices
         convergence.extend((reduced_at + t, w + kr.offset) for t, w in res.convergence)
@@ -181,11 +159,9 @@ def cmd_hybrid(args) -> int:
     chosen = {mapping[v] for v in lifted}
     solution = Solution.of(g, chosen)
     verify_solution(g, solution)
-    record = graph_io.result_record(
-        _instance_name(args), g, solution.vertices, solution.weight, False,
-        time.monotonic() - t0, args.seed, "hybrid",
-        kr.kernel.n_alive, kr.kernel.m_alive)
-    _emit(record)
+    _emit(args, g.n_alive, g.m_alive, time.monotonic() - t0, "hybrid",
+          weight=solution.weight, optimal=False, kernel_n=kr.kernel.n_alive,
+          kernel_m=kr.kernel.m_alive, solution=solution.vertices)
     _write_convergence(args, convergence)
     return 0
 
@@ -194,10 +170,9 @@ def cmd_oracle(args) -> int:
     g = _load_graph(args)
     t0 = time.monotonic()
     sol = brute_force_mwis(g)
-    record = graph_io.result_record(
-        _instance_name(args), g, sol.vertices, sol.weight, True,
-        time.monotonic() - t0, args.seed, "oracle", g.n_alive, g.m_alive)
-    _emit(record)
+    _emit(args, g.n_alive, g.m_alive, time.monotonic() - t0, "oracle",
+          weight=sol.weight, optimal=True, kernel_n=g.n_alive, kernel_m=g.m_alive,
+          solution=sol.vertices)
     return 0
 
 
@@ -274,11 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("lift", help="lift a kernel solution through a sidecar")
-    p.add_argument("graph", help="the graph that was reduced")
+    _add_common(p, anytime=False)
     p.add_argument("kernel_solution", help="solution file of the kernel graph")
     p.add_argument("--lift", required=True, metavar="PATH", help="sidecar from 'reduce'")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--weights", default=None)
     p.set_defaults(fn=cmd_lift)
 
     p = sub.add_parser("ls", help="iterated local search only")
@@ -297,10 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("verify", help="check a solution file against a graph")
-    p.add_argument("graph")
+    _add_common(p, anytime=False)
     p.add_argument("solution")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--weights", default=None)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("gen-weights", help="write a weighted copy of a graph")

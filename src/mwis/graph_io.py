@@ -12,16 +12,19 @@ Graph format (adjacency list; the README documents it bit-exactly):
 Weight generation uses splitmix64 with rejection sampling, so identical
 seeds give identical weights on every platform.
 
-Result records are single-line JSON objects with sorted keys; convergence
-logs are ``elapsed_seconds,weight`` CSV.  The lifting sidecar written next
-to an exported kernel carries the id map and the fold record stack in
-replay order, enough to lift a kernel solution in a separate process.
+Every command's result record, one line of JSON with sorted keys, comes from
+:func:`result_record`; convergence logs are ``elapsed_seconds,weight`` CSV.
+The lifting sidecar written next to an exported kernel carries the weight
+offset, the id map and the fold record stack in replay order, enough to lift
+a kernel solution in a separate process.  ``_RECORD_FIELDS`` gives each
+record kind's fields to the writer and to the reader, which rejects any line
+that the writer does not write.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from .errors import ParseError
 from .graph import WeightedGraph
@@ -185,22 +188,15 @@ def read_weight_file(path, n: int) -> list[int]:
 # Result records and convergence logs
 # ----------------------------------------------------------------------
 
-def result_record(instance: str, graph: WeightedGraph, solution_vertices: Iterable[int],
-                  weight: int, optimal: bool, elapsed: float, seed: int,
-                  variant: str, kernel_n: int, kernel_m: int) -> dict:
-    return {
-        "instance": instance,
-        "n": graph.n_alive,
-        "m": graph.m_alive,
-        "weight": weight,
-        "optimal": optimal,
-        "elapsed_sec": round(elapsed, 6),
-        "seed": seed,
-        "variant": variant,
-        "kernel_n": kernel_n,
-        "kernel_m": kernel_m,
-        "solution": [v + 1 for v in sorted(solution_vertices)],
-    }
+def result_record(instance: str, n: int, m: int, elapsed: float, seed: int,
+                  variant: str, **fields) -> dict:
+    """The record every command prints: the shared keys plus ``fields``.  A
+    ``solution`` field, 0-based vertex ids, is written as sorted 1-based ids."""
+    record = {"instance": instance, "n": n, "m": m, "elapsed_sec": round(elapsed, 6),
+              "seed": seed, "variant": variant, **fields}
+    if "solution" in fields:
+        record["solution"] = [v + 1 for v in sorted(fields["solution"])]
+    return record
 
 
 def format_record(record: dict) -> str:
@@ -217,15 +213,32 @@ def write_convergence(entries: Sequence[tuple[float, int]], fh: TextIO) -> None:
 # Lifting sidecar
 # ----------------------------------------------------------------------
 
-def _ids(vals: Iterable[int]) -> str:
-    s = ",".join(str(v + 1) for v in vals)
-    return s if s else "-"
+# Each record kind's fields in written order, with the FoldRecord attribute
+# each fills: ``offset`` is an integer, ``introduced`` the only single id, and
+# every other field an id list.
+_RECORD_FIELDS = {
+    "include": {"forced": "forced", "consumed": "consumed", "offset": "offset"},
+    "fold": {"introduced": "introduced", "in": "fold_in", "out": "fold_out",
+             "consumed": "consumed", "offset": "offset"},
+    "transfer": {"forced": "forced", "guard": "guard", "consumed": "consumed",
+                 "offset": "offset"},
+}
 
 
-def _parse_ids(s: str) -> tuple[int, ...]:
-    if s == "-":
-        return ()
-    return tuple(int(tok) - 1 for tok in s.split(","))
+def _format_field(attr: str, value) -> str:
+    if attr == "offset":
+        return str(value)
+    if attr == "introduced":
+        return str(value + 1)
+    return ",".join(str(v + 1) for v in value) or "-"
+
+
+def _parse_field(attr: str, text: str):
+    if attr == "offset":
+        return int(text)
+    if attr == "introduced":
+        return int(text) - 1
+    return () if text == "-" else tuple(int(tok) - 1 for tok in text.split(","))
 
 
 def write_lifting(offset: int, kernel_map: Sequence[int],
@@ -235,24 +248,15 @@ def write_lifting(offset: int, kernel_map: Sequence[int],
     for kid, orig in enumerate(kernel_map):
         fh.write(f"map {kid + 1} {orig + 1}\n")
     for rec in records:
-        if rec.introduced is not None:
-            fh.write(
-                f"rec fold {rec.rule} introduced={rec.introduced + 1} "
-                f"in={_ids(rec.fold_in)} out={_ids(rec.fold_out)} "
-                f"consumed={_ids(rec.consumed)} offset={rec.offset}\n")
-        elif rec.guard:
-            fh.write(
-                f"rec transfer {rec.rule} forced={_ids(rec.forced)} "
-                f"guard={_ids(rec.guard)} consumed={_ids(rec.consumed)} "
-                f"offset={rec.offset}\n")
-        else:
-            fh.write(
-                f"rec include {rec.rule} forced={_ids(rec.forced)} "
-                f"consumed={_ids(rec.consumed)} offset={rec.offset}\n")
+        kind = "fold" if rec.introduced is not None else "transfer" if rec.guard else "include"
+        fields = " ".join(f"{name}={_format_field(attr, getattr(rec, attr))}"
+                          for name, attr in _RECORD_FIELDS[kind].items())
+        fh.write(f"rec {kind} {rec.rule} {fields}\n")
 
 
 def read_lifting(fh: TextIO) -> tuple[int, list[int], tuple[FoldRecord, ...]]:
-    offset = 0
+    """Read a sidecar, rejecting any line that ``write_lifting`` does not write."""
+    offset = None
     kernel_map: list[int] = []
     records: list[FoldRecord] = []
     for lineno, raw in enumerate(fh, start=1):
@@ -262,40 +266,34 @@ def read_lifting(fh: TextIO) -> tuple[int, list[int], tuple[FoldRecord, ...]]:
         parts = line.split()
         try:
             if parts[0] == "offset":
-                offset = int(parts[1])
+                if offset is not None:
+                    raise ParseError("second offset line", lineno)
+                (text,) = parts[1:]
+                offset = int(text)
             elif parts[0] == "map":
-                kid, orig = int(parts[1]) - 1, int(parts[2]) - 1
+                kid, orig = (int(tok) - 1 for tok in parts[1:])
                 if kid != len(kernel_map):
                     raise ParseError("map lines out of order", lineno)
                 kernel_map.append(orig)
             elif parts[0] == "rec":
                 kind, rule = parts[1], parts[2]
-                fields = dict(kv.split("=", 1) for kv in parts[3:])
-                rec_offset = int(fields.pop("offset"))
-                if kind == "fold":
-                    records.append(FoldRecord(
-                        rule=rule, consumed=_parse_ids(fields["consumed"]),
-                        offset=rec_offset,
-                        introduced=int(fields["introduced"]) - 1,
-                        fold_in=_parse_ids(fields["in"]),
-                        fold_out=_parse_ids(fields["out"])))
-                elif kind == "transfer":
-                    records.append(FoldRecord(
-                        rule=rule, consumed=_parse_ids(fields["consumed"]),
-                        offset=rec_offset,
-                        forced=_parse_ids(fields["forced"]),
-                        guard=_parse_ids(fields["guard"])))
-                elif kind == "include":
-                    records.append(FoldRecord(
-                        rule=rule, consumed=_parse_ids(fields["consumed"]),
-                        offset=rec_offset,
-                        forced=_parse_ids(fields["forced"])))
-                else:
+                if kind not in _RECORD_FIELDS:
                     raise ParseError(f"unknown record kind {kind!r}", lineno)
+                fields = _RECORD_FIELDS[kind]
+                given = dict(kv.split("=", 1) for kv in parts[3:])
+                unknown = given.keys() - fields.keys()
+                if unknown:
+                    raise ParseError(f"{kind} record has no field {min(unknown)!r}", lineno)
+                if len(given) < len(parts) - 3:
+                    raise ParseError("a record field is given twice", lineno)
+                records.append(FoldRecord(rule=rule, **{
+                    attr: _parse_field(attr, given[name]) for name, attr in fields.items()}))
             else:
                 raise ParseError(f"unknown sidecar line {parts[0]!r}", lineno)
         except ParseError:
             raise
         except (IndexError, KeyError, ValueError):
             raise ParseError(f"malformed sidecar line {line!r}", lineno) from None
+    if offset is None:
+        raise ParseError("the sidecar has no offset line")
     return offset, kernel_map, tuple(records)

@@ -145,10 +145,11 @@ class _Machine:
         self.kernel_n = engine.g.n_alive
         self.kernel_m = engine.g.m_alive
 
-    def _offer(self, ctx: _Ctx, weight: int, vertices: set[int]) -> None:
+    def _offer(self, ctx: _Ctx, weight: int, kernel_set) -> None:
+        """Keep ``kernel_set`` of ``ctx``'s reduced graph, lifted, if it is better."""
         if weight > ctx.best_w or ctx.best_set is None:
             ctx.best_w = weight
-            ctx.best_set = vertices
+            ctx.best_set = lift_solution(kernel_set, ctx.engine.records)
             if ctx is self.root:
                 self._log_improvement(weight)
 
@@ -193,7 +194,7 @@ class _Machine:
             self._ils_bound(ctx)
         g = eng.g
         if g.n_alive == 0:
-            self._offer(ctx, eng.offset, lift_solution((), eng.records))
+            self._offer(ctx, eng.offset, ())
         elif self._bounded(eng, ctx.best_w - eng.offset):
             self.stats.prunes += 1
         else:
@@ -214,7 +215,7 @@ class _Machine:
                 for child, mapping in children:
                     total += child.best_w
                     union.update(mapping[i] for i in child.best_set or ())
-                self._offer(ctx, total, lift_solution(union, eng.records))
+                self._offer(ctx, total, union)
             else:
                 v = select_branch_vertex(g)
                 branch = eng.checkpoint()
@@ -255,8 +256,7 @@ class _Machine:
         seed = (self.config.seed * 0x9E3779B9 + ctx.index) & ((1 << 62) - 1)
         res = ils_run(g, iterations=rounds, time_limit=cap, seed=seed, stall=_LS_STALL)
         self.stats.ils_rounds += res.rounds
-        lifted = lift_solution(res.solution.vertices, ctx.engine.records)
-        self._offer(ctx, ctx.engine.offset + res.solution.weight, lifted)
+        self._offer(ctx, ctx.engine.offset + res.solution.weight, res.solution.vertices)
 
 
 def solve(graph: WeightedGraph, config: SolverConfig | None = None) -> SolveResult:

@@ -205,9 +205,10 @@ def test_08_determinism():
         for _ in range(2):
             res = solve(g, SolverConfig(variant=variant, seed=seed))
             rec = graph_io.result_record(
-                "instance", g, res.solution.vertices, res.solution.weight,
-                res.solution.optimal, res.elapsed, seed, variant,
-                res.kernel_n, res.kernel_m)
+                "instance", g.n_alive, g.m_alive, res.elapsed, seed, variant,
+                weight=res.solution.weight, optimal=res.solution.optimal,
+                kernel_n=res.kernel_n, kernel_m=res.kernel_m,
+                solution=res.solution.vertices)
             rec["elapsed_sec"] = 0.0
             records.append(graph_io.format_record(rec))
             stats.append((res.stats.nodes, res.stats.prunes,

@@ -12,8 +12,9 @@ import pytest
 
 import mwis
 
-from helpers import gnm_graph, random_graph
-from mwis import ParseError, WeightedGraph, brute_force_mwis, lift_solution
+from helpers import gnm_graph, random_graph, structured_family
+from mwis import (ParseError, ReductionEngine, WeightedGraph, brute_force_mwis,
+                  lift_solution)
 from mwis import graph_io
 from mwis.cli import main
 from mwis.solution import verify_independent_set
@@ -151,6 +152,13 @@ SIDECAR_HEAD = "% lifting sidecar\noffset 5\nmap 1 2\n"  # the bad line comes fo
     ("map 3 1", "map lines out of order"),
     ("map 2 x", "malformed sidecar line"),
     ("rec include r forced=1,b consumed=1 offset=0", "malformed sidecar line"),
+    # the writer gives each record kind exactly its fields, once, and one offset line
+    ("rec include r forced=1 consumed=1 offset=0 guard=2", "include record has no field 'guard'"),
+    ("rec fold r introduced=2 in=1 out=- consumed=1 offset=0 forced=1",
+     "fold record has no field 'forced'"),
+    ("rec include r forced=1 forced=2 consumed=1 offset=0", "a record field is given twice"),
+    ("rec include r forced=1 consumed=1 offset=0 offset=0", "a record field is given twice"),
+    ("offset 6", "second offset line"),
 ])
 def test_sidecar_reader_names_the_bad_line(line, message, tmp_path, capsys):
     text = SIDECAR_HEAD + line + "\n"
@@ -164,6 +172,97 @@ def test_sidecar_reader_names_the_bad_line(line, message, tmp_path, capsys):
     assert main(["lift", str(gpath), str(ksol), "--lift", str(lpath)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: line 4: ") and message in err and err.count("\n") == 1
+
+
+def test_sidecar_reader_needs_an_offset_line(tmp_path, capsys):
+    text = "map 1 2\nrec include r forced=1 consumed=1 offset=0\n"
+    with pytest.raises(ParseError) as exc:
+        graph_io.read_lifting(io.StringIO(text))
+    assert exc.value.line is None and "no offset line" in str(exc.value)
+    gpath, lpath, ksol = tmp_path / "g.graph", tmp_path / "l.side", tmp_path / "ksol.txt"
+    gpath.write_text("3 2 10\n5 2\n7 1 3\n2 2\n")
+    lpath.write_text(text)
+    ksol.write_text("1\n")
+    assert main(["lift", str(gpath), str(ksol), "--lift", str(lpath)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: the sidecar has no offset line\n"
+
+
+# The documented bytes: a sidecar holding one record of each kind, and the
+# record of every record-printing command on one small graph.
+SIDECAR_OF_EACH_KIND = (
+    "offset 12\n"
+    "map 1 8\n"
+    "rec transfer isolated_weight_transfer forced=1 guard=3 consumed=2,1 offset=4\n"
+    "rec include neighborhood_removal forced=4 consumed=3,4 offset=5\n"
+    "rec fold neighborhood_folding introduced=8 in=5,7 out=6 consumed=6,5,7 offset=3\n")
+
+SMALL_GRAPH = ("11 18 10\n43 3 4 7 9 10 11\n108 7 10\n177 1 5 7\n108 1 6 7 9 11\n"
+               "163 3\n73 4 7 10\n123 1 2 3 4 6\n56\n122 1 4 10 11\n132 1 2 6 9\n"
+               "47 1 4 9\n")
+SMALL_RECORDS = {
+    "solve": '{"elapsed_sec":0.0,"instance":"g.graph","kernel_m":10,"kernel_n":7,"m":18,'
+             '"n":11,"optimal":true,"seed":0,"solution":[2,3,6,8,9],"variant":"full",'
+             '"weight":536}',
+    "ls": '{"elapsed_sec":0.0,"instance":"g.graph","kernel_m":18,"kernel_n":11,"m":18,'
+          '"n":11,"optimal":false,"seed":0,"solution":[2,3,6,8,9],"variant":"ls",'
+          '"weight":536}',
+    "hybrid": '{"elapsed_sec":0.0,"instance":"g.graph","kernel_m":10,"kernel_n":7,"m":18,'
+              '"n":11,"optimal":false,"seed":0,"solution":[2,3,6,8,9],"variant":"hybrid",'
+              '"weight":536}',
+    "oracle": '{"elapsed_sec":0.0,"instance":"g.graph","kernel_m":18,"kernel_n":11,"m":18,'
+              '"n":11,"optimal":true,"seed":0,"solution":[2,3,6,8,9],"variant":"oracle",'
+              '"weight":536}',
+    "reduce": '{"elapsed_sec":0.0,"instance":"g.graph","kernel_m":10,"kernel_n":7,"m":18,'
+              '"n":11,"offset":233,"seed":0,"variant":"full"}',
+    "lift": '{"elapsed_sec":0.0,"instance":"g.graph","kernel_n":7,"m":18,"n":11,'
+            '"offset":233,"optimal":false,"seed":0,"solution":[2,3,6,8,9],'
+            '"variant":"lift","weight":536}',
+}
+
+
+def test_documented_output_bytes(tmp_path, capsys):
+    transfer = structured_family()["transfer"]  # clique {0,1,2}, 2 wired to 3
+    g = WeightedGraph([transfer.weight(v) for v in range(4)] + [2, 3, 2],
+                      [(u, v) for u in range(4) for v in transfer.neighbors(u) if u < v]
+                      + [(4, 5), (5, 6)])
+    eng = ReductionEngine(g)
+    assert eng.isolated_weight_transfer(0)
+    assert eng.neighborhood_removal(3)
+    assert eng.neighborhood_folding(5)
+    kernel_map = sorted(g.alive_vertices())
+    buf = io.StringIO()
+    graph_io.write_lifting(eng.offset, kernel_map, eng.records, buf)
+    assert buf.getvalue() == SIDECAR_OF_EACH_KIND
+    buf.seek(0)
+    assert graph_io.read_lifting(buf) == (eng.offset, kernel_map, tuple(eng.records))
+
+    def record(argv):
+        assert main([argv[0], str(gpath)] + argv[1:]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        rec["elapsed_sec"] = 0.0
+        return graph_io.format_record(rec)
+
+    gpath, kpath, lpath = tmp_path / "g.graph", tmp_path / "k.graph", tmp_path / "k.side"
+    gpath.write_text(SMALL_GRAPH)
+    assert record(["solve"]) == SMALL_RECORDS["solve"]
+    assert record(["solve", "--variant", "dense"]) == SMALL_RECORDS["solve"].replace(
+        '"full"', '"dense"')
+    assert record(["ls", "--iterations", "20"]) == SMALL_RECORDS["ls"]
+    assert record(["hybrid", "--iterations", "20"]) == SMALL_RECORDS["hybrid"]
+    assert record(["oracle"]) == SMALL_RECORDS["oracle"]
+    assert record(["reduce", "--kernel-out", str(kpath), "--lift", str(lpath)]) \
+        == SMALL_RECORDS["reduce"]
+    assert kpath.read_text() == "7 10 10\n108 5 7\n108 3 4 6 7\n73 2 5 7\n122 2 5 6\n" \
+                                "132 1 3 4\n47 2 4\n109 1 2 3\n"
+    assert lpath.read_text() == (
+        "offset 233\nmap 1 2\nmap 2 4\nmap 3 6\nmap 4 9\nmap 5 10\nmap 6 11\nmap 7 12\n"
+        "rec include neighborhood_removal forced=8 consumed=8 offset=56\n"
+        "rec fold weighted_vertex_folding introduced=12 in=5,7 out=3 consumed=3,5,7 "
+        "offset=177\n")
+    ksol = tmp_path / "k.txt"
+    ksol.write_text("1 3 4\n")  # the kernel's optimum, weight 303
+    assert record(["lift", str(ksol), "--lift", str(lpath)]) == SMALL_RECORDS["lift"]
 
 
 # ----------------------------------------------------------------------
