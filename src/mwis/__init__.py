@@ -3,8 +3,8 @@ independent set problem on sparse graphs."""
 
 from .bounds import build_clique_cover, clique_cover_bound
 from .critical import critical_weighted_set
-from .errors import (CertificateError, GraphError, InternalError,
-                     OracleSizeError, ParseError)
+from .errors import (CertificateError, DeadlinePassed, GraphError,
+                     InternalError, OracleSizeError, ParseError)
 from .graph import WeightedGraph
 from .local_search import LsState, ils_run
 from .oracle import brute_force_critical_set, brute_force_mwis
@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 __all__ = [
     "build_clique_cover", "clique_cover_bound",
     "critical_weighted_set",
-    "CertificateError", "GraphError", "InternalError", "OracleSizeError",
-    "ParseError",
+    "CertificateError", "DeadlinePassed", "GraphError", "InternalError",
+    "OracleSizeError", "ParseError",
     "WeightedGraph",
     "LsState", "ils_run",
     "brute_force_critical_set", "brute_force_mwis",

@@ -11,24 +11,24 @@ clique it completes, else opens a singleton clique weighted by the vertex.
 Because heavier vertices are placed first, a joining vertex never forces a
 clique's weight up, so the construction runs in time independent of the
 weight values.  Given a deadline, the construction looks at the clock after
-its sort and then every ``_DEADLINE_STRIDE`` vertices, and gives up once the
-deadline has passed: a cover cut short bounds nothing.
+its sort and then every ``_DEADLINE_STRIDE`` vertices, and raises
+:class:`mwis.errors.DeadlinePassed` once the deadline has passed: a cover
+cut short bounds nothing.
 """
 
 from __future__ import annotations
 
-import time
-
+from .errors import check_deadline
 from .graph import WeightedGraph
 
 _DEADLINE_STRIDE = 4096  # vertices placed between two looks at the clock
 
 
 def build_clique_cover(graph: WeightedGraph, deadline: float | None = None
-                       ) -> tuple[list[list[int]], list[int]] | None:
-    """The greedy cover of ``graph`` as disjoint cliques and their weights,
-    or ``None`` once ``deadline`` (a ``time.monotonic()`` value) has
-    passed."""
+                       ) -> tuple[list[list[int]], list[int]]:
+    """The greedy cover of ``graph`` as disjoint cliques and their weights;
+    raises :class:`mwis.errors.DeadlinePassed` once ``deadline`` (a
+    ``time.monotonic()`` value) has passed."""
     order = sorted(
         graph.alive_vertices(),
         key=lambda v: (-graph.weight(v), -graph.degree(v), v),
@@ -38,9 +38,8 @@ def build_clique_cover(graph: WeightedGraph, deadline: float | None = None
     sizes: list[int] = []
     weights: list[int] = []
     for i, v in enumerate(order):
-        if deadline is not None and i % _DEADLINE_STRIDE == 0 \
-                and time.monotonic() >= deadline:
-            return None
+        if i % _DEADLINE_STRIDE == 0:
+            check_deadline(deadline)
         # Count how many members of each existing clique neighbor v; v can
         # join a clique only when it neighbors every member.
         hits: dict[int, int] = {}
@@ -65,9 +64,7 @@ def build_clique_cover(graph: WeightedGraph, deadline: float | None = None
     return cliques, weights
 
 
-def clique_cover_bound(graph: WeightedGraph,
-                       deadline: float | None = None) -> int | None:
-    """Upper bound on the maximum weight independent set of ``graph``, or
-    ``None`` once ``deadline`` has passed."""
-    cover = build_clique_cover(graph, deadline)
-    return None if cover is None else sum(cover[1])
+def clique_cover_bound(graph: WeightedGraph, deadline: float | None = None) -> int:
+    """Upper bound on the maximum weight independent set of ``graph``;
+    ``deadline`` works as in :func:`build_clique_cover`."""
+    return sum(build_clique_cover(graph, deadline)[1])

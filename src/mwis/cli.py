@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -31,6 +32,16 @@ from .solution import Solution, verify_independent_set, verify_solution
 from .solver import SolverConfig, greedy_complete, solve
 
 
+def _non_negative(kind):
+    """An argparse type: a finite ``kind`` (``int`` or ``float``) of at least 0."""
+    def parse(text: str):
+        if 0 <= (value := kind(text)) < math.inf:
+            return value
+        raise argparse.ArgumentTypeError(f"expected a finite value >= 0, got {text!r}")
+    parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
 def _add_common(p: argparse.ArgumentParser, anytime: bool = True) -> None:
     p.add_argument("graph", help="input graph file")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
@@ -38,7 +49,7 @@ def _add_common(p: argparse.ArgumentParser, anytime: bool = True) -> None:
                    help="'generate:LO:HI' for random weights or 'file:PATH'; "
                         "defaults to the weights in the graph file (fmt 10)")
     if anytime:
-        p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
+        p.add_argument("--time-limit", type=_non_negative(float), metavar="SECONDS")
         p.add_argument("--convergence", default=None, metavar="PATH",
                        help="write an elapsed_seconds,weight CSV here")
 
@@ -256,13 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ls", help="iterated local search only")
     _add_common(p)
-    p.add_argument("--iterations", type=int, default=None)
+    p.add_argument("--iterations", type=_non_negative(int), default=None)
     p.set_defaults(fn=cmd_ls)
 
     p = sub.add_parser("hybrid", help="reduce, local-search the kernel, lift")
     _add_common(p)
     p.add_argument("--variant", choices=("full", "dense"), default="full")
-    p.add_argument("--iterations", type=int, default=None)
+    p.add_argument("--iterations", type=_non_negative(int), default=None)
     p.set_defaults(fn=cmd_hybrid)
 
     p = sub.add_parser("oracle", help="brute force (small graphs only)")

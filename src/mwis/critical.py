@@ -27,8 +27,9 @@ that of ``j`` in row ``i``.  A greedy pass saturates the paths
 ``s, L_i, R_j, t``; Dinic phases follow, each a layered BFS from every left
 copy with ``cs > 0`` and a blocking flow pushed by a current-arc DFS over an
 explicit path.  The deadline is looked at once per phase and every
-``_AUGMENTS_PER_CHECK`` augmentations.  Weights stay Python ints, so any
-size is exact.
+``_AUGMENTS_PER_CHECK`` augmentations; once it has passed,
+:class:`mwis.errors.DeadlinePassed` is raised, the flow reached handed back.
+Weights stay Python ints, so any size is exact.
 
 **Warm start.**  A caller may pass the ``(u, v, amount)`` middle-arc flows of
 an earlier call, by vertex id.  They are clipped onto the current graph: an
@@ -63,10 +64,9 @@ the flow on a graph left unedited since the rule last fired or found nothing.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 
-from .errors import InternalError
+from .errors import InternalError, check_deadline
 from .graph import WeightedGraph
 
 _AUGMENTS_PER_CHECK = 256  # augmentations between two looks at the deadline
@@ -75,21 +75,18 @@ _AUGMENTS_PER_CHECK = 256  # augmentations between two looks at the deadline
 def critical_weighted_set(graph: WeightedGraph,
                           flow: list[tuple[int, int, int]] | None = None,
                           deadline: float | None = None,
-                          ) -> tuple[list[int], int] | None:
+                          ) -> tuple[list[int], int]:
     """Return a maximizer of ``w(U) - w(N(U))`` and its value.
 
     The returned set is independent and ascending.  ``flow``, when given,
     holds ``(u, v, amount)`` flows on the arcs ``L_u -> R_v`` of an earlier
     call; they seed this call, and the list is overwritten with its final
-    flow.  Returns ``None``, leaving the flow reached in ``flow``, when the
-    ``time.monotonic()`` deadline passes first.  Raises
-    :class:`InternalError` if the cut fails its own certificate, which would
-    indicate a bug.
+    flow.  Raises :class:`mwis.errors.DeadlinePassed`, leaving the flow
+    reached in ``flow``, when the ``time.monotonic()`` deadline passes
+    first, and :class:`InternalError` if the cut fails its own certificate,
+    which would indicate a bug.
     """
-    verts, cs, reach = _flow(graph, flow, deadline)
-    if reach is None:
-        return None
-    left, right = reach
+    verts, cs, (left, right) = _flow(graph, flow, deadline)
     chosen = [v for v, l, r in zip(verts, left, right) if l >= 0 > r]
 
     value = sum(cs)  # the total weight minus the flow: the cut's value
@@ -109,21 +106,16 @@ def critical_weighted_set(graph: WeightedGraph,
 def critical_value(graph: WeightedGraph,
                    flow: list[tuple[int, int, int]] | None = None,
                    deadline: float | None = None,
-                   stop: int | None = None) -> int | None:
+                   stop: int | None = None) -> int:
     """Return the maximum of ``w(U) - w(N(U))``, or an upper bound on it.
 
     The value is the total weight minus the flow, so every feasible flow
     bounds it from above.  With ``stop`` given, the flow is not raised
     further once that bound is at most ``stop``, and the bound is returned;
     otherwise the flow is raised to a maximum and the value is exact.
-    ``flow`` and ``deadline`` work as in :func:`critical_weighted_set`;
-    ``None`` means the deadline passed before either was reached.
+    ``flow`` and ``deadline`` work as in :func:`critical_weighted_set`.
     """
-    _, cs, reach = _flow(graph, flow, deadline, stop)
-    value = sum(cs)
-    if reach is None and (stop is None or value > stop):
-        return None
-    return value
+    return sum(_flow(graph, flow, deadline, stop)[1])
 
 
 def _flow(graph, flow, deadline, stop=None):
@@ -131,8 +123,8 @@ def _flow(graph, flow, deadline, stop=None):
 
     Returns the alive vertices in snapshot order, the residual source
     capacities ``cs`` and the final layers of :func:`_max_flow`, which are
-    ``None`` when the deadline passed or the residual source capacity fell
-    to ``stop`` or below first.  The flow reached is handed back in ``flow``.
+    ``None`` once ``sum(cs)`` is at most ``stop``.  The flow reached is
+    handed back in ``flow``, also when the deadline passes.
     """
     xadj, adj, w, verts, index = graph.alive_csr()
     cs, ct, f = w[:], w[:], [0] * len(adj)
@@ -140,11 +132,13 @@ def _flow(graph, flow, deadline, stop=None):
         _clip(flow, index, xadj, adj, cs, ct, f)
     _saturate_short_paths(xadj, adj, cs, ct, f)
     reach = None
-    if stop is None or sum(cs) > stop:
-        reach = _max_flow(xadj, adj, _reverse_arcs(xadj, adj), cs, ct, f, deadline, stop)
-    if flow is not None:
-        flow[:] = [(verts[i], verts[adj[p]], f[p])
-                   for i in range(len(verts)) for p in range(xadj[i], xadj[i + 1]) if f[p]]
+    try:
+        if stop is None or sum(cs) > stop:
+            reach = _max_flow(xadj, adj, _reverse_arcs(xadj, adj), cs, ct, f, deadline, stop)
+    finally:
+        if flow is not None:
+            flow[:] = [(verts[i], verts[adj[p]], f[p])
+                       for i in range(len(verts)) for p in range(xadj[i], xadj[i + 1]) if f[p]]
     return verts, cs, reach
 
 
@@ -202,13 +196,12 @@ def _max_flow(xadj, adj, rev, cs, ct, f, deadline, stop=None):
     """Raise the flow to a maximum by Dinic phases.
 
     Returns the BFS layers ``(left, right)`` of the final residual network,
-    ``-1`` where a copy is unreachable from ``s``, or ``None`` once the
-    deadline has passed or, after a phase, ``sum(cs)`` is at most ``stop``.
+    ``-1`` where a copy is unreachable from ``s``, or ``None`` once, after a
+    phase, ``sum(cs)`` is at most ``stop``.
     """
     n = len(cs)
     while True:
-        if deadline is not None and time.monotonic() >= deadline:
-            return None
+        check_deadline(deadline)
         left, right = [-1] * n, [-1] * n
         sources = [i for i, c in enumerate(cs) if c]
         for i in sources:
@@ -233,13 +226,12 @@ def _max_flow(xadj, adj, rev, cs, ct, f, deadline, stop=None):
                         layer.append(i)
         if not layer:
             return left, right
-        if not _blocking_flow(sources, k, xadj, adj, rev, cs, ct, f, left, right, deadline):
-            return None
+        _blocking_flow(sources, k, xadj, adj, rev, cs, ct, f, left, right, deadline)
         if stop is not None and sum(cs) <= stop:
             return None
 
 
-def _blocking_flow(sources, last, xadj, adj, rev, cs, ct, f, left, right, deadline) -> bool:
+def _blocking_flow(sources, last, xadj, adj, rev, cs, ct, f, left, right, deadline) -> None:
     """Saturate every shortest augmenting path of the layered network.
 
     ``path`` holds arc positions from ``L_i0``: forward arcs ``p`` (in the
@@ -247,7 +239,7 @@ def _blocking_flow(sources, last, xadj, adj, rev, cs, ct, f, left, right, deadli
     of their right end) at odd ones, so the node reached is ``adj[path[-1]]``
     and a left copy at depth ``2k`` and a right copy at ``2k + 1`` are in
     layer ``k``.  A dead end leaves the layered network by having its layer
-    set to -1.  Returns False once the deadline has passed.
+    set to -1.
     """
     it_left, it_right = xadj[:-1], xadj[:-1]  # current arcs
     augments = 0
@@ -289,9 +281,8 @@ def _blocking_flow(sources, last, xadj, adj, rev, cs, ct, f, left, right, deadli
                         del path[2 * d + 1:]  # resume at the tail of the first saturated arc
                         break
                 augments += 1
-                if (deadline is not None and augments % _AUGMENTS_PER_CHECK == 0
-                        and time.monotonic() >= deadline):
-                    return False
+                if augments % _AUGMENTS_PER_CHECK == 0:
+                    check_deadline(deadline)
                 continue
             q, end = it_right[u], xadj[u + 1]
             while q < end and (left[adj[q]] != k + 1 or not f[rev[q]]):
@@ -302,4 +293,3 @@ def _blocking_flow(sources, last, xadj, adj, rev, cs, ct, f, left, right, deadli
             else:
                 right[u] = -1
                 path.pop()
-    return True

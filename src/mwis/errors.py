@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one deadline check."""
+
+import time
 
 
 class GraphError(ValueError):
@@ -25,3 +27,15 @@ class CertificateError(ValueError):
 
 class InternalError(AssertionError):
     """An internal self-check failed; indicates a bug, not bad input."""
+
+
+class DeadlinePassed(Exception):
+    """A call's ``time.monotonic()`` deadline has passed; only
+    :func:`mwis.solve` catches it.  Not a ``TimeoutError``: that is an
+    ``OSError``, which :func:`mwis.cli.main` reports as an error."""
+
+
+def check_deadline(deadline: float | None) -> None:
+    """Raise :class:`DeadlinePassed` when ``deadline`` is set and has passed."""
+    if deadline is not None and time.monotonic() >= deadline:
+        raise DeadlinePassed

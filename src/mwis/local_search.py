@@ -28,6 +28,7 @@ deadline passes, so it overshoots by about one round.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -144,10 +145,12 @@ def ils_run(graph: WeightedGraph, iterations: int | None = None,
     also stops at the first round that leaves the best weight unimproved
     for ``stall`` rounds in a row.  Emits an ``(elapsed_seconds, weight)``
     convergence entry whenever the best known weight improves, observed
-    after each core call.
+    after each core call.  A NaN time limit is a ``ValueError``.
     """
     if iterations is None and time_limit is None:
         raise ValueError("ils_run needs an iteration or time budget")
+    if time_limit is not None and math.isnan(time_limit):
+        raise ValueError("ils_run needs a time limit that is a number, got nan")
     t0 = time.monotonic()
     deadline = None if time_limit is None else t0 + time_limit
     if graph.n_alive == 0:

@@ -17,7 +17,9 @@ the same kernel; the test suite keeps one as its reference and asserts that
 equivalence.  The rules a reduce drains are always a prefix of
 ``LOCAL_RULES``, followed in the ``full`` variant by the critical rule; a
 ``dense`` reduce below the root drains the first six, and only the queues of
-the prefix are filled.
+the prefix are filled.  Given a deadline, a reduce raises
+:class:`mwis.errors.DeadlinePassed` at its first clock read past it, every
+edit made so far recorded.
 
 A touched vertex ``v`` joins a rule's queue only when it passes that rule's
 screen (``_screens``), an O(1) necessary condition on the degree, the weight
@@ -55,13 +57,13 @@ Rule order (cheap local rules first, the global flow-based rule last):
 from __future__ import annotations
 
 import heapq
-import time
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .critical import critical_value, critical_weighted_set
+from .errors import check_deadline
 from .graph import WeightedGraph
 from .solution import verify_independent_set
 
@@ -329,14 +331,16 @@ class ReductionEngine:
     # ------------------------------------------------------------------
 
     def reduce(self, initial: bool = False, deadline: float | None = None) -> None:
-        """Apply the rules to a fixpoint (or until the deadline).
+        """Apply the rules to a fixpoint.
 
         The rules drained are the first ``k`` of ``LOCAL_RULES``, then, in
         the ``full`` variant, the critical rule as index ``k``.  A ``dense``
         reduce outside the initial one drops the last two local rules
         (``_DENSE_BRANCH_RULES`` are kept) and holds the isolated rules to
         cliques of degree at most 2.  Queues past ``k`` are emptied and stay
-        unfilled until a reduce drains them again."""
+        unfilled until a reduce drains them again.  ``deadline`` is looked
+        at before each drain, every 64 rule checks and in the critical flow;
+        once it has passed, :class:`mwis.errors.DeadlinePassed` is raised."""
         dense = self.variant == "dense"
         k = _DENSE_BRANCH_RULES if dense and not initial else len(LOCAL_RULES)
         self._filled = self._queues[:k]
@@ -346,8 +350,7 @@ class ReductionEngine:
         end = k if dense else k + 1
         i = 0
         while i < end:
-            if deadline is not None and time.monotonic() >= deadline:
-                return
+            check_deadline(deadline)
             changed = self._drain(i, deadline) if i < k else self.cwis_reduction(deadline)
             i = 0 if changed else i + 1
 
@@ -368,8 +371,8 @@ class ReductionEngine:
                 self.stats[rule] += 1
                 changed = True
             ticks += 1
-            if deadline is not None and ticks % 64 == 0 and time.monotonic() >= deadline:
-                break
+            if ticks % 64 == 0:
+                check_deadline(deadline)
         return changed
 
     # ------------------------------------------------------------------
@@ -615,18 +618,15 @@ class ReductionEngine:
     def cwis_reduction(self, deadline: float | None = None) -> bool:
         """Force in a critical weighted independent set found by min cut.
 
-        The flow starts from the previous call's and gives up at
-        ``deadline``, firing nothing.  It is not run on a graph left unedited
-        since the rule last fired or found nothing, which holds no set of
+        The flow starts from the previous call's, and ``deadline`` works as
+        in :meth:`reduce`.  It is not run on a graph left unedited since the
+        rule last fired or found nothing, which holds no set of
         positive value (see :mod:`mwis.critical`); log marks identify the
         graph until a rollback."""
         g = self.g
         if g.n_alive == 0 or g.checkpoint() == self._cwis_idle_mark:
             return False
-        found = critical_weighted_set(g, self._cwis_flow, deadline)
-        if found is None:
-            return False
-        chosen, value = found
+        chosen, value = critical_weighted_set(g, self._cwis_flow, deadline)
         if value <= 0 or not chosen:
             self._cwis_idle_mark = g.checkpoint()
             return False
@@ -652,7 +652,7 @@ class ReductionEngine:
         ``value`` and the alive weight ``W`` (Nemhauser & Trotter).  On a
         graph the critical rule is known not to fire on, ``value`` is 0 and no
         flow runs.  Otherwise the flow starts from the rule's last one and
-        gives up at ``deadline``, returning ``None``.
+        raises at ``deadline`` as :meth:`reduce` does, its flow kept.
 
         With ``slack`` given, only the prune test ``LP <= slack`` is decided.
         Since ``value >= 0``, the LP is at least ``W // 2``: when that exceeds
@@ -669,8 +669,7 @@ class ReductionEngine:
             return half
         self.lp_flows += 1
         stop = None if slack is None else 2 * slack + 1 - g.w_alive
-        value = critical_value(g, self._cwis_flow, deadline, stop)
-        return None if value is None else (g.w_alive + value) // 2
+        return (g.w_alive + critical_value(g, self._cwis_flow, deadline, stop)) // 2
 
 
 def reduce_to_kernel(graph: WeightedGraph, variant: str = "full") -> KernelResult:

@@ -23,20 +23,22 @@ stopped as soon as the flow proves the prune.
 Each search node is one generator that yields its children in turn, and
 the recursion is run on an explicit stack of node generators so deep
 exclusion chains cannot overflow the interpreter stack.  Under a time limit
-the solver is anytime: it returns its best lifted solution, greedily
-completed, flagged non-optimal.  Every returned solution is
-certificate-checked against the input graph.
+the solver is anytime: the first clock read past the deadline raises
+:class:`mwis.errors.DeadlinePassed`, and :func:`solve` alone catches it and
+returns its best lifted solution, greedily completed, flagged non-optimal.
+Every returned solution is certificate-checked against the input graph.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import count
 
 from .bounds import clique_cover_bound
-from .errors import InternalError
+from .errors import DeadlinePassed, InternalError, check_deadline
 from .graph import MAX_TOTAL_WEIGHT, WeightedGraph
 from .local_search import ils_run
 from .reductions import ReductionEngine, lift_solution
@@ -92,10 +94,6 @@ class SolveResult:
     elapsed: float
 
 
-class _Timeout(Exception):
-    pass
-
-
 def select_branch_vertex(graph: WeightedGraph) -> int:
     """Maximum degree; ties: larger weight, then lower id."""
     return min(
@@ -142,8 +140,6 @@ class _Machine:
         self.convergence: list[tuple[float, int]] = []
         self._indices = count()
         self.root = _Ctx(engine, next(self._indices))
-        self.kernel_n = engine.g.n_alive
-        self.kernel_m = engine.g.m_alive
 
     def _offer(self, ctx: _Ctx, weight: int, kernel_set) -> None:
         """Keep ``kernel_set`` of ``ctx``'s reduced graph, lifted, if it is better."""
@@ -156,10 +152,6 @@ class _Machine:
     def _log_improvement(self, weight: int) -> None:
         if not self.convergence or weight > self.convergence[-1][1]:
             self.convergence.append((time.monotonic() - self.t0, weight))
-
-    def _check_deadline(self) -> None:
-        if self.deadline is not None and time.monotonic() >= self.deadline:
-            raise _Timeout
 
     def run(self) -> None:
         stack = [self._node(self.root, True)]
@@ -185,11 +177,13 @@ class _Machine:
         self.stats.nodes += 1
         ckpt = eng.checkpoint()
         initial = first and ctx is self.root
-        eng.reduce(initial=initial, deadline=self.deadline)
-        if initial:
-            self.kernel_n = eng.g.n_alive
-            self.kernel_m = eng.g.m_alive
-        self._check_deadline()
+        try:
+            eng.reduce(initial=initial, deadline=self.deadline)
+        finally:  # a reduce cut short reports the root graph as far as it got
+            if initial:
+                self.kernel_n = eng.g.n_alive
+                self.kernel_m = eng.g.m_alive
+        check_deadline(self.deadline)
         if first:
             self._ils_bound(ctx)
         g = eng.g
@@ -198,7 +192,7 @@ class _Machine:
         elif self._bounded(eng, ctx.best_w - eng.offset):
             self.stats.prunes += 1
         else:
-            self._check_deadline()  # the bounds may have given up at it
+            check_deadline(self.deadline)
             comps = g.connected_components()
             if len(comps) > 1:
                 children = []
@@ -230,15 +224,15 @@ class _Machine:
         """True when ``min(LP, clique cover)`` of the engine's graph is at
         most ``slack``.  The LP test goes first: it runs no flow when half
         the alive weight already exceeds ``slack`` or at the ``full``
-        reduction fixpoint, and stops its flow once the prune is proved.
-        A flow or a cover cut short by the deadline bounds nothing."""
+        reduction fixpoint, and stops its flow once the prune is proved."""
         flows = eng.lp_flows
-        lp = eng.lp_bound(self.deadline, slack)
-        self.stats.lp_flows += eng.lp_flows - flows
+        try:
+            lp = eng.lp_bound(self.deadline, slack)
+        finally:  # a flow cut short by the deadline still counts
+            self.stats.lp_flows += eng.lp_flows - flows
         if lp is not None and lp <= slack:
             return True
-        cover = clique_cover_bound(eng.g, self.deadline)
-        return cover is not None and cover <= slack
+        return clique_cover_bound(eng.g, self.deadline) <= slack
 
     def _ils_bound(self, ctx: _Ctx) -> None:
         g = ctx.engine.g
@@ -264,23 +258,25 @@ def solve(graph: WeightedGraph, config: SolverConfig | None = None) -> SolveResu
 
     The input graph is not modified.  The result's solution is flagged
     ``optimal`` only when the search finished within the budget; either way
-    it is a verified independent set of the input.
+    it is a verified independent set of the input.  A NaN time limit is a
+    ``ValueError``.
     """
     config = config or SolverConfig()
+    if config.time_limit is not None and math.isnan(config.time_limit):
+        raise ValueError("solve needs a time limit that is a number, got nan")
     t0 = time.monotonic()
     stats = SearchStats()
     working, root_map = graph.compact_copy()
     engine = ReductionEngine(working, variant=config.variant,
                              stats=stats.rule_applications)
     machine = _Machine(engine, config, stats, t0)
-    completed = True
     try:
         machine.run()
-    except _Timeout:
-        completed = False
-    best = machine.root.best_set or set()
-    chosen = {root_map[v] for v in best}
-    if completed:
+        optimal = True
+    except DeadlinePassed:
+        optimal = False
+    chosen = {root_map[v] for v in machine.root.best_set or ()}
+    if optimal:
         solution = Solution.of(graph, chosen, optimal=True)
         if solution.weight != machine.root.best_w:
             raise InternalError(

@@ -9,6 +9,7 @@ finishes in seconds.
 import contextlib
 import io
 import json
+import math
 import random
 import time
 
@@ -132,8 +133,8 @@ def test_04_bound_soundness_and_prune_ab(monkeypatch):
         checked += 1
     graphs = [random_graph(seed, 24, 0.4) for seed in range(20)]
     on = [solve(g) for g in graphs]
-    monkeypatch.setattr(mwis.solver, "clique_cover_bound", lambda g, deadline=None: None)
-    monkeypatch.setattr(ReductionEngine, "lp_bound", lambda eng, deadline, slack=None: None)
+    monkeypatch.setattr(mwis.solver, "clique_cover_bound", lambda g, deadline=None: math.inf)
+    monkeypatch.setattr(ReductionEngine, "lp_bound", lambda eng, deadline, slack=None: math.inf)
     off = [solve(g) for g in graphs]
     for seed, (a, b) in enumerate(zip(on, off)):
         assert a.solution.weight == b.solution.weight, seed

@@ -3,13 +3,15 @@ the LP bound of the critical-set flow, alone and beside the cover."""
 
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (clique_graph, cubic_graph, path_graph, random_graph, small_graphs,
                      validate_cover)
-from mwis import (ReductionEngine, SolverConfig, WeightedGraph, brute_force_mwis,
-                  build_clique_cover, clique_cover_bound, critical_weighted_set, solve)
+from mwis import (DeadlinePassed, ReductionEngine, SolverConfig, WeightedGraph,
+                  brute_force_mwis, build_clique_cover, clique_cover_bound,
+                  critical_weighted_set, solve)
 
 
 def test_triangle_single_clique():
@@ -51,8 +53,10 @@ def test_bound_of_empty_graph_is_zero():
 
 def test_cover_gives_up_past_its_deadline():
     g = cubic_graph(1, 30000)
-    assert clique_cover_bound(g, deadline=time.monotonic() - 1.0) is None
-    assert build_clique_cover(g, deadline=time.monotonic() - 1.0) is None
+    with pytest.raises(DeadlinePassed):
+        clique_cover_bound(g, deadline=time.monotonic() - 1.0)
+    with pytest.raises(DeadlinePassed):
+        build_clique_cover(g, deadline=time.monotonic() - 1.0)
     assert clique_cover_bound(g) == 1864108
     assert clique_cover_bound(g, deadline=time.monotonic() + 3600.0) == 1864108
 
@@ -115,12 +119,15 @@ def test_dense_lp_bound_runs_the_flow_and_honours_the_deadline():
         assert eng.lp_bound() >= brute_force_mwis(g).weight
     g = cubic_graph(1, 2000, wmax=1)
     big = ReductionEngine(g, variant="dense")
-    assert big.lp_bound(deadline=time.monotonic()) is None
+    with pytest.raises(DeadlinePassed):
+        big.lp_bound(deadline=time.monotonic())
     slack = g.w_alive // 2  # the smallest slack that runs the flow
-    assert big.lp_bound(deadline=time.monotonic(), slack=slack) is None
+    with pytest.raises(DeadlinePassed):
+        big.lp_bound(deadline=time.monotonic(), slack=slack)
     # The early stop needed a flow of 2W - 2 * slack - 1; the clip and the
-    # greedy pass, all that ran before the deadline, reached less.
-    assert sum(a for _, _, a in big._cwis_flow) < 2 * g.w_alive - 2 * slack - 1
+    # greedy pass, all that ran before the deadline, reached less, and what
+    # they reached was handed back.
+    assert 0 < sum(a for _, _, a in big._cwis_flow) < 2 * g.w_alive - 2 * slack - 1
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,8 +4,11 @@ warm start and deadline."""
 import time
 from collections import Counter
 
+import pytest
+
 from helpers import cubic_graph, cycle_graph, random_graph, star_graph
-from mwis import WeightedGraph, brute_force_critical_set, critical_weighted_set
+from mwis import (DeadlinePassed, WeightedGraph, brute_force_critical_set,
+                  critical_weighted_set)
 from mwis.solution import verify_independent_set
 
 
@@ -81,5 +84,8 @@ def test_warm_start_survives_weight_cuts_and_reused_ids():
 def test_deadline_stops_the_flow():
     g = cubic_graph(0, 2000, wmax=1)
     flow = []
-    assert critical_weighted_set(g, flow, deadline=time.monotonic()) is None
+    with pytest.raises(DeadlinePassed):
+        critical_weighted_set(g, flow, deadline=time.monotonic())
+    assert flow  # the greedy pass ran, and its flow was handed back
+    assert_feasible(g, flow)
     assert critical_weighted_set(g, flow) == critical_weighted_set(g) == ([], 0)

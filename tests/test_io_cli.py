@@ -484,6 +484,24 @@ def test_cli_timeout_is_exit_zero(tmp_path, capsys):
     verify_independent_set(g, [v - 1 for v in rec["solution"]])
 
 
+@pytest.mark.parametrize("argv", [
+    ["ls", "--time-limit", "nan"], ["ls", "--time-limit", "inf"],
+    ["solve", "--time-limit", "nan"], ["solve", "--time-limit", "-1"],
+    ["hybrid", "--time-limit", "-0.5"], ["ls", "--iterations", "-3"],
+    ["hybrid", "--iterations", "-1"]])
+def test_cli_refuses_budgets_that_never_end_or_are_negative(tmp_path, capsys, argv):
+    # `ls` under a NaN or infinite limit used to run forever
+    gpath = tmp_path / "p3.graph"
+    gpath.write_text("3 2 10\n1 2\n5 1 3\n1 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(gpath), *argv[1:]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"argument {argv[1]}: expected a finite value >= 0" in err
+    assert main([argv[0], str(gpath), argv[1], "0"]) == 0  # zero is a budget
+    assert json.loads(capsys.readouterr().out)["weight"] >= 2
+
+
 HEAVY_PATH = f"3 2 10\n{2**62} 2\n1 1 3\n{2**62} 2\n"  # total weight 2**63 + 1
 
 

@@ -134,6 +134,12 @@ def test_time_limit_stops_within_a_round():
     assert res.rounds > 0
 
 
+def test_nan_time_limit_is_refused():
+    # a NaN deadline never compares as passed, so the run would not stop
+    with pytest.raises(ValueError, match="nan"):
+        ils_run(path_graph([1, 2, 1]), iterations=5, time_limit=float("nan"))
+
+
 def _stalled_replay(g, seed, stall, iterations):
     """One round at a time until ``stall`` rounds in a row brought nothing."""
     st = LsState(g, seed=seed)

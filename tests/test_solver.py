@@ -1,5 +1,7 @@
 """Branch-and-reduce solver: exactness, anytime behavior, determinism."""
 
+import math
+import sys
 import time
 
 import pytest
@@ -127,8 +129,8 @@ def test_single_component_no_split():
 def test_pruning_toggle_preserves_weight(monkeypatch):
     graphs = [random_graph(seed, 26, 0.4) for seed in (1, 5, 9)]
     on = [solve(g) for g in graphs]
-    monkeypatch.setattr(mwis.solver, "clique_cover_bound", lambda g, deadline=None: None)
-    monkeypatch.setattr(ReductionEngine, "lp_bound", lambda eng, deadline, slack=None: None)
+    monkeypatch.setattr(mwis.solver, "clique_cover_bound", lambda g, deadline=None: math.inf)
+    monkeypatch.setattr(ReductionEngine, "lp_bound", lambda eng, deadline, slack=None: math.inf)
     off = [solve(g) for g in graphs]
     for a, b in zip(on, off):
         assert a.solution.weight == b.solution.weight
@@ -136,9 +138,9 @@ def test_pruning_toggle_preserves_weight(monkeypatch):
         assert b.stats.nodes >= a.stats.nodes
 
 
-# A bound of None is what a flow or cover cut short by the deadline returns.
-BOUND_OFF = {"clique_cover_bound": lambda g, deadline=None: None,
-             "lp_bound": lambda eng, deadline, slack=None: None}
+# Bounds that never prune.
+BOUND_OFF = {"clique_cover_bound": lambda g, deadline=None: math.inf,
+             "lp_bound": lambda eng, deadline, slack=None: math.inf}
 
 
 @pytest.mark.parametrize("variant", ["full", "dense"])
@@ -280,6 +282,67 @@ def test_dense_timeout_cuts_the_bound_flow_short():
     assert time.monotonic() - t0 < 2.5
     assert not r.solution.optimal
     verify_solution(g, r.solution)
+
+
+# Clock reads that only record or budget time: the solve's start and end,
+# the convergence log, and the local-search bound's cap and run.  Every
+# other read decides whether the deadline has passed.
+BOOKKEEPING_READS = {"solve", "_log_improvement", "_ils_bound", "ils_run"}
+
+
+def _clock(past_from, reads):
+    """A ``time.monotonic`` reading 0 until read ``past_from`` (the first
+    read is read 0) and far past any limit from then on; the name of each
+    read's caller goes into ``reads``."""
+    def monotonic():
+        reads.append(sys._getframe(1).f_code.co_name)
+        return 0.0 if len(reads) <= past_from else 1e9
+    return monotonic
+
+
+@pytest.mark.parametrize("variant", ["full", "dense"])
+def test_deadline_at_every_clock_read(monkeypatch, variant):
+    # The k-th read after the solve's start is the first past the deadline,
+    # for every k up to the first at which the search finishes.  The kernel
+    # size reported is the root graph as the initial reduce left it.
+    real_reduce = ReductionEngine.reduce
+    left = []
+
+    def reduce(eng, *args, **kwargs):
+        try:
+            real_reduce(eng, *args, **kwargs)
+        finally:
+            left.append((eng.g.n_alive, eng.g.m_alive))
+
+    monkeypatch.setattr(ReductionEngine, "reduce", reduce)
+    config = SolverConfig(variant=variant, time_limit=1.0)
+    cut_kernels = 0
+    for seed, n in ((0, 20), (1, 22), (2, 24)):
+        g = random_graph(seed, n, 0.3)
+        before = g.canonical_serialization()
+        want = brute_force_mwis(g).weight
+        reads = []
+        monkeypatch.setattr(time, "monotonic", _clock(float("inf"), reads))
+        full = solve(g, config)
+        last_check = max(i for i, name in enumerate(reads) if name not in BOOKKEEPING_READS)
+        assert full.solution.optimal and full.solution.weight == want
+        for k in range(1, last_check + 2):
+            reads, left[:] = [], []
+            monkeypatch.setattr(time, "monotonic", _clock(k, reads))
+            r = solve(g, config)
+            verify_solution(g, r.solution)
+            assert r.solution.optimal == (k > last_check), (seed, k)
+            assert r.solution.weight == want if r.solution.optimal else r.solution.weight <= want
+            assert g.canonical_serialization() == before
+            assert (r.kernel_n, r.kernel_m) == left[0], (seed, k)
+            cut_kernels += left[0] != (full.kernel_n, full.kernel_m)
+    assert cut_kernels > 0  # some deadlines fell inside the initial reduce
+
+
+def test_nan_time_limit_is_refused():
+    # a NaN deadline never compares as passed, so the limit would be ignored
+    with pytest.raises(ValueError, match="nan"):
+        solve(path_graph([2, 3, 2]), SolverConfig(time_limit=math.nan))
 
 
 def test_fast_instance_finishes_under_limit():
