@@ -2,17 +2,22 @@
 
 The inner loops of the iterated local search (:mod:`mwis._ls_core`) are
 written as plain loops so that they can either be JIT-compiled with numba,
-over ``int64`` arrays, or run as-is, over Python lists.  Everything else is
-plain Python or numpy on either backend: the solver's exact work
-(reductions, including the meta rule's local subsolves, and the branch and
-bound) and the brute-force oracle's vectorized subset scan.
+over ``int64`` arrays, or run as-is, over Python lists.  Everything else
+runs the same on either backend: the solver's exact work (reductions,
+including the meta rule's local subsolves, and the branch and bound) is
+plain Python, and the brute-force oracle is one vectorized numpy scan.
 
 The backend is chosen once at import time from the ``MWIS_BACKEND``
 environment variable:
 
 * ``auto`` (default): use numba when it is importable, else the fallback.
 * ``numba``: require numba, fail loudly if it is missing.
-* ``numpy``: force the pure numpy/Python fallback even if numba is present.
+* ``numpy``: force the pure-Python fallback even if numba is present.
+
+Under the fallback only the oracle's scan imports numpy, when it first
+runs: importing the package and every command but ``oracle`` load no numpy.
+(Under numba the core's arrays do.)  The ``numpy`` backend keeps its name
+all the same, because the benchmark stamps it in every result.
 
 Both backends produce bit-identical results.  To compare their speed, run
 the benchmark under each, e.g. ``MWIS_BACKEND=numba python3 perfbench/run.py

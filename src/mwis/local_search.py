@@ -19,7 +19,8 @@ pass as a forward-moving cursor over the marked positions (see
 not O(n).  :class:`LsState` keeps the marks with the rest of the state, so
 runs resume exactly; it hands the core Python lists under the numpy backend,
 which the interpreter indexes faster than numpy arrays, and ``int64`` arrays
-under numba.
+under numba.  So numpy is imported here only under numba; the numpy backend
+keeps its name, which the benchmark stamps, though it runs without numpy.
 
 Runs are deterministic given (graph, seed, round budget); a wall-clock
 budget hands the core one round at a time and stops issuing rounds once the
@@ -31,8 +32,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import compress
 
 from . import _ls_core as core
 from ._accel import NUMBA_ENABLED
@@ -42,10 +42,14 @@ from .solution import Solution
 _CHUNK_ROUNDS = 32
 
 
-def _buffer(values: list[int], dtype) -> list[int] | np.ndarray:
-    """A core buffer: a numpy array for numba to compile against, else the
-    list itself, which interpreted code indexes several times faster."""
-    return np.array(values, dtype=dtype) if NUMBA_ENABLED else values
+def _buffer(values: list[int], dtype: str):
+    """A core buffer: a numpy array of ``dtype`` for numba to compile
+    against, else the list itself, which interpreted code indexes several
+    times faster.  Only the numba backend imports numpy."""
+    if not NUMBA_ENABLED:
+        return values
+    import numpy as np
+    return np.array(values, dtype=dtype)
 
 
 class LsState:
@@ -68,7 +72,7 @@ class LsState:
         state = [0] * core.STATE_LEN
         state[core.S_RNG] = seed & ((1 << 63) - 1)
         state[core.S_QINS] = state[core.S_QSWAP] = n  # every vertex queued for both passes
-        i64, u8 = np.int64, np.uint8
+        i64, u8 = "int64", "uint8"
         self.xadj, self.adj, self.w = _buffer(xadj, i64), _buffer(adj, i64), _buffer(w, i64)
         self.order, self.pos = _buffer(order, i64), _buffer(pos, i64)
         self.in_sol, self.best_sol = _buffer([0] * n, u8), _buffer([0] * n, u8)
@@ -119,10 +123,10 @@ class LsState:
         return int(self.state[core.S_BEST])
 
     def current_vertices(self) -> tuple[int, ...]:
-        return tuple(self.verts[i] for i in np.flatnonzero(self.in_sol))
+        return tuple(compress(self.verts, self.in_sol))
 
     def best_vertices(self) -> tuple[int, ...]:
-        return tuple(self.verts[i] for i in np.flatnonzero(self.best_sol))
+        return tuple(compress(self.verts, self.best_sol))
 
 
 @dataclass
@@ -145,12 +149,14 @@ def ils_run(graph: WeightedGraph, iterations: int | None = None,
     also stops at the first round that leaves the best weight unimproved
     for ``stall`` rounds in a row.  Emits an ``(elapsed_seconds, weight)``
     convergence entry whenever the best known weight improves, observed
-    after each core call.  A NaN time limit is a ``ValueError``.
+    after each core call.  A NaN or infinite time limit is a ``ValueError``:
+    neither deadline ever passes, so without another budget the run would
+    not stop.
     """
     if iterations is None and time_limit is None:
         raise ValueError("ils_run needs an iteration or time budget")
-    if time_limit is not None and math.isnan(time_limit):
-        raise ValueError("ils_run needs a time limit that is a number, got nan")
+    if time_limit is not None and not math.isfinite(time_limit):
+        raise ValueError(f"ils_run needs a finite time limit, got {time_limit}")
     t0 = time.monotonic()
     deadline = None if time_limit is None else t0 + time_limit
     if graph.n_alive == 0:

@@ -11,12 +11,12 @@ weights no two optimal sets are nested, so that set is the one containing
 the smallest id on which the candidates disagree.
 
 The subset scan is one vectorized numpy pass on every backend; numba
-compiles only the local-search core (see :mod:`mwis._accel`).
+compiles only the local-search core (see :mod:`mwis._accel`).  numpy is
+imported by the scans themselves, not with this module, so that importing
+the package and every command but ``oracle`` run without it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .errors import OracleSizeError
 from .graph import WeightedGraph, check_total_weight
@@ -33,7 +33,7 @@ def _reverse_bits(mask: int, n: int) -> int:
     return int(format(mask, f"0{n}b")[::-1], 2) if n else 0
 
 
-def mwis_weight_and_mask(adj_masks: np.ndarray, weights: np.ndarray) -> tuple[int, int]:
+def mwis_weight_and_mask(adj_masks: list[int], weights: list[int]) -> tuple[int, int]:
     """Exact MWIS of a mask-encoded graph: (weight, chosen-subset mask).
 
     The scan relabels bit ``v`` as ``n - 1 - v``.  The tie-break winner
@@ -41,9 +41,11 @@ def mwis_weight_and_mask(adj_masks: np.ndarray, weights: np.ndarray) -> tuple[in
     differing bit after relabelling, so its mask is the larger: the scan
     visits masks in increasing order and keeps the last maximum.
     """
-    n = adj_masks.shape[0]
-    adj = [_reverse_bits(int(m), n) for m in adj_masks[::-1]]
-    w = weights[::-1]
+    import numpy as np
+
+    n = len(adj_masks)
+    adj = [_reverse_bits(m, n) for m in adj_masks[::-1]]
+    w = np.array(weights[::-1], dtype=np.int64)
     total_masks = 1 << n
     chunk = min(total_masks, 1 << _CHUNK_BITS)
     best_w = best_m = 0
@@ -63,7 +65,7 @@ def mwis_weight_and_mask(adj_masks: np.ndarray, weights: np.ndarray) -> tuple[in
 
 
 def _masks_of(graph: WeightedGraph, vertices: list[int], cap: int = MAX_ORACLE_VERTICES,
-              name: str = "oracle") -> tuple[np.ndarray, np.ndarray]:
+              name: str = "oracle") -> tuple[list[int], list[int]]:
     """Neighbor bitmasks and weights of the subgraph ``vertices`` induce,
     bit ``i`` standing for the ``i``-th smallest of them.  Refuses more than
     ``cap`` vertices."""
@@ -72,7 +74,7 @@ def _masks_of(graph: WeightedGraph, vertices: list[int], cap: int = MAX_ORACLE_V
         raise OracleSizeError(f"{name} limited to {cap} vertices, got {len(weights)}")
     check_total_weight(weights)
     masks = [sum(1 << j for j in adj[xadj[i]:xadj[i + 1]]) for i in range(len(weights))]
-    return np.array(masks, dtype=np.int64), np.array(weights, dtype=np.int64)
+    return masks, weights
 
 
 def brute_force_mwis(graph: WeightedGraph) -> Solution:
@@ -99,6 +101,8 @@ def brute_force_critical_set(graph: WeightedGraph) -> tuple[list[int], int]:
     when they neighbor each other.  Returns the first maximizer in subset
     enumeration order (the empty set when nothing beats zero).
     """
+    import numpy as np
+
     verts = sorted(graph.alive_vertices())
     n = len(verts)
     adj, w = _masks_of(graph, verts, MAX_CRITICAL_VERTICES, "critical-set oracle")

@@ -219,6 +219,13 @@ SMALL_RECORDS = {
             '"offset":233,"optimal":false,"seed":0,"solution":[2,3,6,8,9],'
             '"variant":"lift","weight":536}',
 }
+SMALL_KERNEL = ("7 10 10\n108 5 7\n108 3 4 6 7\n73 2 5 7\n122 2 5 6\n"
+                "132 1 3 4\n47 2 4\n109 1 2 3\n")
+SMALL_SIDECAR = (
+    "offset 233\nmap 1 2\nmap 2 4\nmap 3 6\nmap 4 9\nmap 5 10\nmap 6 11\nmap 7 12\n"
+    "rec include neighborhood_removal forced=8 consumed=8 offset=56\n"
+    "rec fold weighted_vertex_folding introduced=12 in=5,7 out=3 consumed=3,5,7 "
+    "offset=177\n")
 
 
 def test_documented_output_bytes(tmp_path, capsys):
@@ -253,16 +260,65 @@ def test_documented_output_bytes(tmp_path, capsys):
     assert record(["oracle"]) == SMALL_RECORDS["oracle"]
     assert record(["reduce", "--kernel-out", str(kpath), "--lift", str(lpath)]) \
         == SMALL_RECORDS["reduce"]
-    assert kpath.read_text() == "7 10 10\n108 5 7\n108 3 4 6 7\n73 2 5 7\n122 2 5 6\n" \
-                                "132 1 3 4\n47 2 4\n109 1 2 3\n"
-    assert lpath.read_text() == (
-        "offset 233\nmap 1 2\nmap 2 4\nmap 3 6\nmap 4 9\nmap 5 10\nmap 6 11\nmap 7 12\n"
-        "rec include neighborhood_removal forced=8 consumed=8 offset=56\n"
-        "rec fold weighted_vertex_folding introduced=12 in=5,7 out=3 consumed=3,5,7 "
-        "offset=177\n")
+    assert kpath.read_text() == SMALL_KERNEL
+    assert lpath.read_text() == SMALL_SIDECAR
     ksol = tmp_path / "k.txt"
     ksol.write_text("1 3 4\n")  # the kernel's optimum, weight 303
     assert record(["lift", str(ksol), "--lift", str(lpath)]) == SMALL_RECORDS["lift"]
+
+
+# Runs each argv given as JSON with numpy made unimportable before the first
+# import of the package, and prints each exit code and captured stdout.
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # every later `import numpy` raises ImportError
+from mwis.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    runs.append([code, out.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_commands_but_oracle_run_without_numpy(tmp_path):
+    # in a subprocess, because this suite has already imported numpy
+    (tmp_path / "g.graph").write_text(SMALL_GRAPH)
+    (tmp_path / "raw.graph").write_text("3 2 0\n2\n1 3\n2\n")
+    (tmp_path / "k.txt").write_text("1 3 4\n")  # the kernel's optimum, weight 303
+    (tmp_path / "sol.txt").write_text("2 3 6 8 9\n")
+    records = {
+        "solve": ["solve", "g.graph"],
+        "ls": ["ls", "g.graph", "--iterations", "20"],
+        "hybrid": ["hybrid", "g.graph", "--iterations", "20"],
+        "reduce": ["reduce", "g.graph", "--kernel-out", "k.graph", "--lift", "k.side"],
+        "lift": ["lift", "g.graph", "k.txt", "--lift", "k.side"],
+    }
+    printed = [
+        (["verify", "g.graph", "sol.txt"], "OK independent set of weight 536 (5 vertices)\n"),
+        (["gen-weights", "raw.graph", "--seed", "9", "-o", "w.graph"], "wrote w.graph\n"),
+    ]
+    package_root = str(Path(mwis.__file__).resolve().parent.parent)
+    env = dict(os.environ, MWIS_BACKEND="numpy")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    argvs = list(records.values()) + [argv for argv, _ in printed]
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert [code for code, _ in runs] == [0] * len(argvs)
+    for name, (_, out) in zip(records, runs):
+        rec = json.loads(out)
+        rec["elapsed_sec"] = 0.0
+        assert graph_io.format_record(rec) == SMALL_RECORDS[name]
+    assert [out for _, out in runs[len(records):]] == [text for _, text in printed]
+    assert (tmp_path / "k.graph").read_text() == SMALL_KERNEL
+    assert (tmp_path / "k.side").read_text() == SMALL_SIDECAR
+    g = graph_io.parse_graph_text("3 2 0\n2\n1 3\n2\n")
+    graph_io.generate_weights(g, seed=9)
+    assert (tmp_path / "w.graph").read_text() == graph_io.serialize_graph(g)
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import time
 
+import numpy as np
 import pytest
 
 import ls_reference
@@ -134,10 +135,28 @@ def test_time_limit_stops_within_a_round():
     assert res.rounds > 0
 
 
-def test_nan_time_limit_is_refused():
-    # a NaN deadline never compares as passed, so the run would not stop
-    with pytest.raises(ValueError, match="nan"):
-        ils_run(path_graph([1, 2, 1]), iterations=5, time_limit=float("nan"))
+@pytest.mark.parametrize("limit", [float("nan"), float("inf")])
+def test_non_finite_time_limit_is_refused_at_once(limit):
+    # neither deadline ever compares as passed: with no round or stall
+    # budget beside it the run would not return, so no round may run
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match=f"got {limit}"):
+        ils_run(gnm_graph(2, 300, 750), time_limit=limit, iterations=10_000)
+    assert time.monotonic() - t0 < 0.5
+
+
+def test_reported_vertices_are_python_ints_of_the_set_flags():
+    # ids with gaps, so the local index and the graph id differ
+    g = gnm_graph(5, 60, 150)
+    for v in range(0, 60, 7):
+        g.remove_vertex(v)
+    res = ils_run(g, iterations=40, seed=3)
+    st = LsState(g, seed=3)
+    st.run_rounds(40)
+    for got, flags in ((st.current_vertices(), st.in_sol), (st.best_vertices(), st.best_sol)):
+        assert got == tuple(st.verts[i] for i in np.flatnonzero(flags))
+        assert all(type(v) is int for v in got)
+    assert res.solution.vertices == st.best_vertices()
 
 
 def _stalled_replay(g, seed, stall, iterations):
