@@ -24,9 +24,13 @@ flow on ``L_i -> R_j`` for the position ``p`` of ``j`` in row ``i``.  A middle
 arc can always be crossed forward; ``R_j`` reaches ``L_i`` backward through
 ``f[rev[q]]``, where ``q`` is the position of ``i`` in row ``j`` and ``rev[q]``
 that of ``j`` in row ``i``.  A greedy pass saturates the paths
-``s, L_i, R_j, t``; Dinic phases follow, each a layered BFS from every left
-copy with ``cs > 0`` and a blocking flow pushed by a current-arc DFS over an
-explicit path.  The deadline is looked at once per phase and every
+``s, L_i, R_j, t``; Dinic phases follow.  Each is layered from the sink
+side, by a BFS backward from every right copy with ``ct > 0`` that stops at
+the first level holding a left copy with ``cs > 0``; only those sources push
+a blocking flow, by a current-arc DFS over an explicit path, so no phase
+walks a source that cannot reach ``t``.  When a phase labels no source, the
+flow is a maximum, and one forward pass from the sources reads the cut.
+The deadline is looked at once per phase and every
 ``_AUGMENTS_PER_CHECK`` augmentations; once it has passed,
 :class:`mwis.errors.DeadlinePassed` is raised, the flow reached handed back.
 Weights stay Python ints, so any size is exact.
@@ -87,7 +91,7 @@ def critical_weighted_set(graph: WeightedGraph,
     which would indicate a bug.
     """
     verts, cs, (left, right) = _flow(graph, flow, deadline)
-    chosen = [v for v, l, r in zip(verts, left, right) if l >= 0 > r]
+    chosen = [v for v, l, r in zip(verts, left, right) if l and not r]
 
     value = sum(cs)  # the total weight minus the flow: the cut's value
     nbhd = set()
@@ -122,9 +126,10 @@ def _flow(graph, flow, deadline, stop=None):
     """Warm-start and raise the flow on the double cover of ``graph``.
 
     Returns the alive vertices in snapshot order, the residual source
-    capacities ``cs`` and the final layers of :func:`_max_flow`, which are
-    ``None`` once ``sum(cs)`` is at most ``stop``.  The flow reached is
-    handed back in ``flow``, also when the deadline passes.
+    capacities ``cs`` and what :func:`_max_flow` returns: the copies that
+    :func:`_source_side` finds reachable from ``s`` once the flow is a
+    maximum, or ``None`` once ``sum(cs)`` is at most ``stop``.  The flow
+    reached is handed back in ``flow``, also when the deadline passes.
     """
     xadj, adj, w, verts, index = graph.alive_csr()
     cs, ct, f = w[:], w[:], [0] * len(adj)
@@ -193,53 +198,84 @@ def _reverse_arcs(xadj, adj) -> list[int]:
 
 
 def _max_flow(xadj, adj, rev, cs, ct, f, deadline, stop=None):
-    """Raise the flow to a maximum by Dinic phases.
+    """Raise the flow to a maximum by Dinic phases layered from the sink.
 
-    Returns the BFS layers ``(left, right)`` of the final residual network,
-    ``-1`` where a copy is unreachable from ``s``, or ``None`` once, after a
-    phase, ``sum(cs)`` is at most ``stop``.
+    Each phase labels the copies by their residual distance to ``t``:
+    every right copy with ``ct > 0`` is at level 0, a left copy takes the
+    lowest level of a right copy adjacent to it, and a right copy one level
+    above a left copy that sends it flow (read in the left copy's row, so
+    no ``rev``).  The labelling stops at the first level that holds a left
+    copy with ``cs > 0``, and only those sources push the phase's blocking
+    flow.  When no source is labelled the flow is a maximum, and the one
+    forward pass of :func:`_source_side` returns the copies reachable from
+    ``s``.  Returns ``None`` instead once, after a phase, ``sum(cs)`` is at
+    most ``stop``.
     """
     n = len(cs)
     while True:
         check_deadline(deadline)
         left, right = [-1] * n, [-1] * n
-        sources = [i for i, c in enumerate(cs) if c]
-        for i in sources:
-            left[i] = 0
-        layer, k = sources, 0
+        layer = [j for j in range(n) if ct[j]]
+        for j in layer:
+            right[j] = 0
+        k, sources = 0, []
         while layer:
             reached = []
-            for i in layer:
-                for j in adj[xadj[i]:xadj[i + 1]]:
-                    if right[j] < 0:
-                        right[j] = k
-                        reached.append(j)
-            if any(ct[j] for j in reached):
-                break  # t is one arc past layer k
+            for j in layer:
+                for i in adj[xadj[j]:xadj[j + 1]]:
+                    if left[i] < 0:
+                        left[i] = k
+                        reached.append(i)
+            sources = [i for i in reached if cs[i]]
+            if sources:
+                break
             k += 1
             layer = []
-            for j in reached:
-                lo, hi = xadj[j], xadj[j + 1]
-                for i, r in zip(adj[lo:hi], rev[lo:hi]):
-                    if left[i] < 0 and f[r]:
-                        left[i] = k
-                        layer.append(i)
-        if not layer:
-            return left, right
+            for i in reached:
+                lo, hi = xadj[i], xadj[i + 1]
+                for j, b in zip(adj[lo:hi], f[lo:hi]):
+                    if b and right[j] < 0:
+                        right[j] = k
+                        layer.append(j)
+        if not sources:
+            return _source_side(xadj, adj, rev, cs, f)
         _blocking_flow(sources, k, xadj, adj, rev, cs, ct, f, left, right, deadline)
         if stop is not None and sum(cs) <= stop:
             return None
 
 
-def _blocking_flow(sources, last, xadj, adj, rev, cs, ct, f, left, right, deadline) -> None:
+def _source_side(xadj, adj, rev, cs, f):
+    """Mark the copies reachable from ``s`` in the residual network.
+
+    Returns ``(left, right)``, true where ``L_i`` and ``R_j`` are reachable.
+    """
+    n = len(cs)
+    left, right = [c > 0 for c in cs], [False] * n
+    stack = [i for i in range(n) if left[i]]
+    while stack:
+        i = stack.pop()
+        for j in adj[xadj[i]:xadj[i + 1]]:
+            if not right[j]:
+                right[j] = True
+                lo, hi = xadj[j], xadj[j + 1]
+                for u, r in zip(adj[lo:hi], rev[lo:hi]):
+                    if f[r] and not left[u]:
+                        left[u] = True
+                        stack.append(u)
+    return left, right
+
+
+def _blocking_flow(sources, top, xadj, adj, rev, cs, ct, f, left, right, deadline) -> None:
     """Saturate every shortest augmenting path of the layered network.
 
-    ``path`` holds arc positions from ``L_i0``: forward arcs ``p`` (in the
-    row of their left end) at even depths, backward arcs ``q`` (in the row
-    of their right end) at odd ones, so the node reached is ``adj[path[-1]]``
-    and a left copy at depth ``2k`` and a right copy at ``2k + 1`` are in
-    layer ``k``.  A dead end leaves the layered network by having its layer
-    set to -1.
+    The sources are the left copies at level ``top``.  ``path`` holds arc
+    positions from ``L_i0``: forward arcs ``p`` (in the row of their left
+    end) at even depths, backward arcs ``q`` (in the row of their right end)
+    at odd ones, so the node reached is ``adj[path[-1]]``, and a left copy
+    at depth ``2d`` and a right copy at ``2d + 1`` are at level ``top - d``.
+    A dead end leaves the layered network by having its level set to -1;
+    every labelled copy reaches ``t`` when the phase starts, so only arcs
+    this phase saturated make one.
     """
     it_left, it_right = xadj[:-1], xadj[:-1]  # current arcs
     augments = 0
@@ -247,7 +283,7 @@ def _blocking_flow(sources, last, xadj, adj, rev, cs, ct, f, left, right, deadli
         path: list[int] = []
         while cs[i0]:
             depth = len(path)
-            k = depth >> 1
+            k = top - (depth >> 1)
             if depth & 1 == 0:  # at a left copy
                 u = adj[path[-1]] if path else i0
                 p, end = it_left[u], xadj[u + 1]
@@ -263,7 +299,7 @@ def _blocking_flow(sources, last, xadj, adj, rev, cs, ct, f, left, right, deadli
                 path.pop()
                 continue
             u = adj[path[-1]]  # at a right copy
-            if k == last:
+            if k == 0:
                 if not ct[u]:
                     right[u] = -1
                     path.pop()
@@ -285,7 +321,7 @@ def _blocking_flow(sources, last, xadj, adj, rev, cs, ct, f, left, right, deadli
                     check_deadline(deadline)
                 continue
             q, end = it_right[u], xadj[u + 1]
-            while q < end and (left[adj[q]] != k + 1 or not f[rev[q]]):
+            while q < end and (left[adj[q]] != k - 1 or not f[rev[q]]):
                 q += 1
             it_right[u] = q
             if q < end:

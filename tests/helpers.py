@@ -2,6 +2,7 @@
 
 import heapq
 import random
+import sys
 
 from hypothesis import strategies as st
 
@@ -99,6 +100,16 @@ def twin_gadget_graph(seed, wmax=8):
 
 def copy_graph(g):
     return g.compact_copy()[0]
+
+
+def deadline_clock(past_from, reads):
+    """A ``time.monotonic`` reading 0 until read ``past_from`` (the first
+    read is read 0) and far past any limit from then on; the name of each
+    read's caller goes into ``reads``."""
+    def monotonic():
+        reads.append(sys._getframe(1).f_code.co_name)
+        return 0.0 if len(reads) <= past_from else 1e9
+    return monotonic
 
 
 def validate_cover(graph, cliques, weights):

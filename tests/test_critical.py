@@ -3,12 +3,13 @@ warm start and deadline."""
 
 import time
 from collections import Counter
+from unittest import mock
 
 import pytest
 
-from helpers import cubic_graph, cycle_graph, random_graph, star_graph
+from helpers import cubic_graph, cycle_graph, deadline_clock, random_graph, star_graph
 from mwis import (DeadlinePassed, WeightedGraph, brute_force_critical_set,
-                  critical_weighted_set)
+                  critical, critical_weighted_set)
 from mwis.solution import verify_independent_set
 
 
@@ -89,3 +90,29 @@ def test_deadline_stops_the_flow():
     assert flow  # the greedy pass ran, and its flow was handed back
     assert_feasible(g, flow)
     assert critical_weighted_set(g, flow) == critical_weighted_set(g) == ([], 0)
+
+
+def test_deadline_at_every_clock_read_of_one_flow(monkeypatch):
+    # The k-th clock read of a cold flow is the first past the deadline, for
+    # every k: the call raises and hands back a feasible flow, from which a
+    # warm call finds the cold answer, or it reads the clock fewer than k + 1
+    # times and returns that answer.
+    g = cubic_graph(1, 3000)
+    cold = critical_weighted_set(g)
+    reads = []
+    monkeypatch.setattr(time, "monotonic", deadline_clock(float("inf"), reads))
+    with mock.patch.object(critical, "_blocking_flow",
+                           wraps=critical._blocking_flow) as blocking:
+        assert critical_weighted_set(g, [], deadline=1.0) == cold
+    total = len(reads)
+    assert total > blocking.call_count + 1  # reads inside phases, not just before each
+    for k in range(total + 1):
+        flow = []
+        monkeypatch.setattr(time, "monotonic", deadline_clock(k, []))
+        if k < total:
+            with pytest.raises(DeadlinePassed):
+                critical_weighted_set(g, flow, deadline=1.0)
+            assert_feasible(g, flow)
+            assert critical_weighted_set(g, flow) == cold
+        else:
+            assert critical_weighted_set(g, flow, deadline=1.0) == cold

@@ -5,6 +5,7 @@ tests against the brute-force oracle, the local search's worklist descent
 against the full sweep it replays, and the critical-set flow, cold and warm
 started, against the generic max flow it replaced."""
 
+import random
 from unittest import mock
 
 import pytest
@@ -14,11 +15,12 @@ from hypothesis import strategies as st
 import flow_reference
 import ls_reference
 import mwis.solver
-from helpers import (ScanEngine, UnscreenedEngine, copy_graph, gnm_graph,
-                     small_graphs)
+from helpers import (ScanEngine, UnscreenedEngine, copy_graph, cubic_graph,
+                     gnm_graph, small_graphs)
 from mwis import (LsState, ReductionEngine, SolverConfig, WeightedGraph,
-                  brute_force_mwis, critical_weighted_set, oracle,
+                  brute_force_mwis, critical, critical_weighted_set, oracle,
                   reduce_to_kernel, reductions, solve)
+from mwis.critical import critical_value
 from mwis.solution import verify_independent_set
 
 
@@ -151,6 +153,53 @@ flow_graphs = st.one_of(*(maker(max_n=30, max_w=hi, min_w=lo)
 @given(flow_graphs)
 def test_flow_matches_reference(g):
     assert critical_weighted_set(g) == flow_reference.critical_weighted_set(g)
+
+
+def _near_2_64(g):
+    return WeightedGraph([2**64 - g.weight(v) for v in range(g.n_total)],
+                         [(u, v) for u in range(g.n_total) for v in g.neighbors(u) if u < v])
+
+
+def test_flow_matches_reference_on_large_graphs():
+    # Long augmenting paths and many phases, which the small hypothesis
+    # graphs above never reach; cold and warm started, and stopped early.
+    phases = []
+    for g in (gnm_graph(1, 2000, 4000), gnm_graph(2, 2000, 5000),
+              cubic_graph(1, 2000, wmax=1), _near_2_64(gnm_graph(3, 2000, 4000))):
+        with mock.patch.object(critical, "_blocking_flow",
+                               wraps=critical._blocking_flow) as blocking:
+            cold = critical_weighted_set(g)
+        phases.append(blocking.call_count)
+        assert cold == flow_reference.critical_weighted_set(g)
+        value, total = cold[1], g.w_alive
+        for stop in (0, value - 1, value, value + 1, value + (total - value) // 8, total):
+            got = critical_value(g, stop=stop)
+            assert value <= got <= stop if value <= stop else got == value, stop
+
+        def spy(graph, flow=None, deadline=None):
+            warm = critical_weighted_set(graph, flow, deadline)
+            assert warm == critical_weighted_set(graph)
+            flows.append(warm)
+            return warm
+
+        flows, marks, rng = [], [], random.Random(g.n_total + g.w_alive)
+        eng = ReductionEngine(g)
+        with mock.patch.object(reductions, "critical_weighted_set", spy):
+            for op in ("cwis", "exclude", "cwis", "checkpoint", "include", "exclude",
+                       "cwis", "rollback", "cwis", "include", "cwis"):
+                v = rng.choice(sorted(g.alive_vertices()))
+                if op == "include":
+                    eng.include_vertex(v)
+                elif op == "exclude":
+                    eng.exclude_vertex(v)
+                elif op == "checkpoint":
+                    marks.append(eng.checkpoint())
+                elif op == "rollback":
+                    eng.rollback(marks.pop())
+                else:
+                    eng.cwis_reduction()
+        assert len(flows) == 5  # each call is the first or follows an edit, so runs a flow
+    assert max(phases) >= 10
 
 
 engine_ops = st.lists(st.tuples(st.sampled_from(

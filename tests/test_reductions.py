@@ -2,8 +2,8 @@
 
 import pytest
 
-from helpers import (ScanEngine, clique_graph, copy_graph, cycle_graph, gnm_graph,
-                     path_graph, random_graph, random_tree, star_graph,
+from helpers import (ScanEngine, clique_graph, copy_graph, cubic_graph, cycle_graph,
+                     gnm_graph, path_graph, random_graph, random_tree, star_graph,
                      structured_family, twin_gadget_graph)
 from mwis import (CertificateError, ReductionEngine, WeightedGraph,
                   brute_force_mwis, critical_weighted_set, lift_solution,
@@ -595,3 +595,13 @@ def test_kernel_alpha_identity_random():
         assert kr.offset + kernel_opt.weight == want
         lifted = kr.lift(kernel_opt.vertices)
         assert verify_independent_set(original, lifted) == want
+
+
+@pytest.mark.parametrize("make, want", [
+    (lambda: gnm_graph(1, 5000, 12500), (3728, 8985, 72442, 558)),
+    (lambda: cubic_graph(1, 5000, wmax=1), (5000, 7500, 0, 0)),
+], ids=["gnm", "cubic-unit"])
+def test_large_kernels_are_pinned(make, want):
+    # A critical-set flow that reads a different cut moves these at once.
+    kr = reduce_to_kernel(make())
+    assert (kr.kernel.n_alive, kr.kernel.m_alive, kr.offset, len(kr.stack)) == want

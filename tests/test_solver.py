@@ -1,14 +1,13 @@
 """Branch-and-reduce solver: exactness, anytime behavior, determinism."""
 
 import math
-import sys
 import time
 
 import pytest
 
 import mwis.solver
-from helpers import (clique_graph, cubic_graph, gnm_graph, path_graph, random_graph,
-                     star_graph, structured_family)
+from helpers import (clique_graph, cubic_graph, deadline_clock, gnm_graph, path_graph,
+                     random_graph, star_graph, structured_family)
 from mwis import (CertificateError, ReductionEngine, SolverConfig, WeightedGraph,
                   brute_force_mwis, greedy_complete, select_branch_vertex,
                   solve)
@@ -290,16 +289,6 @@ def test_dense_timeout_cuts_the_bound_flow_short():
 BOOKKEEPING_READS = {"solve", "_log_improvement", "_ils_bound", "ils_run"}
 
 
-def _clock(past_from, reads):
-    """A ``time.monotonic`` reading 0 until read ``past_from`` (the first
-    read is read 0) and far past any limit from then on; the name of each
-    read's caller goes into ``reads``."""
-    def monotonic():
-        reads.append(sys._getframe(1).f_code.co_name)
-        return 0.0 if len(reads) <= past_from else 1e9
-    return monotonic
-
-
 @pytest.mark.parametrize("variant", ["full", "dense"])
 def test_deadline_at_every_clock_read(monkeypatch, variant):
     # The k-th read after the solve's start is the first past the deadline,
@@ -322,13 +311,13 @@ def test_deadline_at_every_clock_read(monkeypatch, variant):
         before = g.canonical_serialization()
         want = brute_force_mwis(g).weight
         reads = []
-        monkeypatch.setattr(time, "monotonic", _clock(float("inf"), reads))
+        monkeypatch.setattr(time, "monotonic", deadline_clock(float("inf"), reads))
         full = solve(g, config)
         last_check = max(i for i, name in enumerate(reads) if name not in BOOKKEEPING_READS)
         assert full.solution.optimal and full.solution.weight == want
         for k in range(1, last_check + 2):
             reads, left[:] = [], []
-            monkeypatch.setattr(time, "monotonic", _clock(k, reads))
+            monkeypatch.setattr(time, "monotonic", deadline_clock(k, reads))
             r = solve(g, config)
             verify_solution(g, r.solution)
             assert r.solution.optimal == (k > last_check), (seed, k)
