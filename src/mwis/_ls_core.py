@@ -32,9 +32,9 @@ mark raised ahead of the cursor joins the running pass, one raised at or
 behind it waits for the next pass of its kind, which is where the sweep
 would look next.  The moves, and so the whole trajectory, are the sweep's,
 at a cost that follows the perturbed neighborhood instead of n.  Because
-marks come from ``_insert``/``_remove``, perturbation, greedy maximization
-and moves applied between calls are covered; a fresh state queues every
-vertex for both passes.
+marks come from ``_insert``/``_remove``, the perturbation's moves are
+covered too; a fresh state queues every vertex for both passes, so the
+first descent builds the greedy start.
 
 Randomness comes from a 63-bit truncated LCG.  All arithmetic is masked to
 63 bits, which wraps identically in compiled and interpreted mode.
@@ -134,23 +134,6 @@ def _force_insert(v, xadj, adj, w, pos, in_sol, tight, loss, queued, queue, stat
         if in_sol[u] == 1:
             _remove(u, xadj, adj, w, pos, in_sol, tight, loss, queued, queue, state)
     _insert(v, xadj, adj, w, pos, in_sol, tight, loss, queued, queue, state)
-
-
-def _greedy_maximize(xadj, adj, w, order, pos, in_sol, tight, loss, queued,
-                     queue, state):
-    """Add free vertices in descending weight order until maximal."""
-    for oi in range(len(order)):
-        v = order[oi]
-        if in_sol[v] == 0 and tight[v] == 0:
-            _insert(v, xadj, adj, w, pos, in_sol, tight, loss, queued, queue, state)
-
-
-def _omega_swap(v, xadj, adj, w, pos, in_sol, tight, loss, queued, queue, state):
-    """Insert ``v`` when it outweighs its solution neighbors (strictly)."""
-    if in_sol[v] == 1 or w[v] <= loss[v]:
-        return False
-    _force_insert(v, xadj, adj, w, pos, in_sol, tight, loss, queued, queue, state)
-    return True
 
 
 def _one_two_swap(v, xadj, adj, w, pos, in_sol, tight, loss, queued, queue,
@@ -275,8 +258,6 @@ _mark = maybe_njit(_mark)
 _insert = maybe_njit(_insert)
 _remove = maybe_njit(_remove)
 _force_insert = maybe_njit(_force_insert)
-_greedy_maximize = maybe_njit(_greedy_maximize)
-_omega_swap = maybe_njit(_omega_swap)
 _one_two_swap = maybe_njit(_one_two_swap)
 _pass = maybe_njit(_pass)
 _descend = maybe_njit(_descend)

@@ -59,6 +59,8 @@ def generate_weights(graph: WeightedGraph, seed: int, lo: int = 1, hi: int = 200
     """Assign uniform random weights in [lo, hi], in ascending vertex order."""
     if lo < 1 or hi < lo:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
+    if hi - lo + 1 > 1 << 64:  # SplitMix64.below would reject every 64-bit draw
+        raise ValueError(f"the span of [{lo}, {hi}] exceeds 2**64")
     rng = SplitMix64(seed)
     for v in graph.alive_vertices():
         graph.set_weight(v, lo + rng.below(hi - lo + 1))

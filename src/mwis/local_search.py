@@ -55,14 +55,15 @@ def _buffer(values: list[int], dtype: str):
 class LsState:
     """Resumable local-search state over a snapshot of the alive graph.
 
-    Vertex arguments and reported solutions use the graph's vertex ids; the
-    snapshot is taken at construction, later graph edits are not seen.
+    Reported solutions use the graph's vertex ids; the snapshot is taken at
+    construction, later graph edits are not seen.  The search advances
+    only by whole rounds (:meth:`run_rounds`).
     Raises :class:`GraphError` when the alive weights sum past
     ``MAX_TOTAL_WEIGHT``.
     """
 
     def __init__(self, graph: WeightedGraph, seed: int = 0):
-        xadj, adj, w, self.verts, self._index = graph.alive_csr()
+        xadj, adj, w, self.verts, _ = graph.alive_csr()
         check_total_weight(w)
         n = len(self.verts)
         order = sorted(range(n), key=w.__getitem__, reverse=True)  # stable, so ties keep index order
@@ -81,31 +82,6 @@ class LsState:
         self.queue = _buffer(list(range(n)) * 2, i64)
         self.cand = _buffer([0] * max(n, 1), i64)
         self.state = _buffer(state, i64)
-
-    # -- spec-level move operations (mainly for tests) -------------------
-
-    def omega_one_swap(self, v: int) -> bool:
-        """Insert ``v`` if strictly heavier than its solution neighbors."""
-        applied = core._omega_swap(self._index[v], self.xadj, self.adj, self.w,
-                                   self.pos, self.in_sol, self.tight, self.loss,
-                                   self.queued, self.queue, self.state)
-        if applied:
-            self._maximize()
-        return bool(applied)
-
-    def weighted_one_two_swap(self, v: int) -> bool:
-        """Trade ``v`` for its best strictly-heavier free neighbor pair."""
-        applied = core._one_two_swap(self._index[v], self.xadj, self.adj, self.w,
-                                     self.pos, self.in_sol, self.tight, self.loss,
-                                     self.queued, self.queue, self.cand, self.state)
-        if applied:
-            self._maximize()
-        return bool(applied)
-
-    def _maximize(self) -> None:
-        core._greedy_maximize(self.xadj, self.adj, self.w, self.order, self.pos,
-                              self.in_sol, self.tight, self.loss, self.queued,
-                              self.queue, self.state)
 
     def run_rounds(self, rounds: int) -> None:
         core.ils_rounds(self.xadj, self.adj, self.w, self.order, self.pos,

@@ -89,11 +89,6 @@ def brute_force_mwis(graph: WeightedGraph) -> Solution:
     return Solution(chosen, best_w, optimal=True)
 
 
-def subgraph_mwis_weight(graph: WeightedGraph, vertices) -> int:
-    """Exact MWIS weight of the subgraph induced by ``vertices``."""
-    return mwis_weight_and_mask(*_masks_of(graph, vertices))[0]
-
-
 def brute_force_critical_set(graph: WeightedGraph) -> tuple[list[int], int]:
     """Exhaustive maximizer of ``w(U) - w(N(U))`` over all vertex subsets.
 

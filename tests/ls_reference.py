@@ -2,8 +2,11 @@
 
 This is the sweep that :mod:`mwis._ls_core` replays with its worklist
 descent, kept verbatim (numpy arrays, run interpreted) so that differential
-tests can require identical solutions and state after every call.  Nothing
-in the package uses it.
+tests can require identical solutions and state after every call.  It also
+holds the two moves as callable operations, each followed by greedy
+re-maximization, which the moves' spec tests apply one at a time; the
+package runs them only inside its descent.  Nothing in the package uses
+this module.
 """
 
 import numpy as np
@@ -229,6 +232,13 @@ class SweepLs:
     def _maximize(self) -> None:
         _greedy_maximize(self.xadj, self.adj, self.w, self.order,
                          self.in_sol, self.tight, self.loss, self.state)
+
+    @property
+    def current_weight(self) -> int:
+        return int(self.state[S_CUR])
+
+    def current_vertices(self) -> tuple[int, ...]:
+        return tuple(v for v, f in zip(self.verts, self.in_sol) if f)
 
     def run_rounds(self, rounds: int) -> None:
         ils_rounds(self.xadj, self.adj, self.w, self.order, self.in_sol,

@@ -18,7 +18,7 @@ import mwis.solver
 from helpers import (ScanEngine, UnscreenedEngine, copy_graph, cubic_graph,
                      gnm_graph, small_graphs)
 from mwis import (LsState, ReductionEngine, SolverConfig, WeightedGraph,
-                  brute_force_mwis, critical, critical_weighted_set, oracle,
+                  brute_force_mwis, critical, critical_weighted_set,
                   reduce_to_kernel, reductions, solve)
 from mwis.critical import critical_value
 from mwis.solution import verify_independent_set
@@ -78,7 +78,8 @@ meta_graphs = small_graphs(max_n=16) | small_graphs(max_n=16, max_w=10**6)
 def test_subsolve_matches_oracle(g, data):
     keep = data.draw(st.lists(st.booleans(), min_size=g.n_alive, max_size=g.n_alive))
     verts = [v for v, k in enumerate(keep) if k]
-    assert reductions.subgraph_mwis_weight(g, verts) == oracle.subgraph_mwis_weight(g, verts)
+    want = brute_force_mwis(g.induced_subgraph(verts)[0]).weight
+    assert reductions.subgraph_mwis_weight(g, verts) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -90,7 +91,8 @@ def test_meta_rule_matches_unfiltered_rule(g):
             nu = set(g.neighbors(u))
             local = [x for x in g.neighbors(v) if x != u and x not in nu]
             want = (len(local) <= reductions.MAX_META_SIZE
-                    and oracle.subgraph_mwis_weight(g, local) + g.weight(u) <= g.weight(v))
+                    and brute_force_mwis(g.induced_subgraph(local)[0]).weight + g.weight(u)
+                    <= g.weight(v))
             mark = eng.checkpoint()
             assert eng.neighbor_removal_meta(v, u) is want
             assert g.is_alive(u) is not want
@@ -108,8 +110,7 @@ def sparse_graphs(draw, max_n=40, max_w=6, min_w=1):
 
 ls_graphs = (sparse_graphs() | sparse_graphs(max_w=10**6) | small_graphs(max_w=10**6)).filter(
     lambda g: g.n_alive > 0)
-ls_ops = st.lists(st.tuples(st.sampled_from(["rounds"] * 4 + ["omega", "swap"]),
-                            st.integers(0, 60)), min_size=1, max_size=6)
+ls_rounds = st.lists(st.integers(0, 60), min_size=1, max_size=6)
 
 
 def _same_search(new, ref):
@@ -119,17 +120,33 @@ def _same_search(new, ref):
 
 
 @settings(max_examples=300, deadline=None)
-@given(ls_graphs, st.integers(0, 2**64), ls_ops)
-def test_worklist_descent_replays_the_sweep(g, seed, ops):
+@given(ls_graphs, st.integers(0, 2**64), ls_rounds)
+def test_worklist_descent_replays_the_sweep(g, seed, rounds):
     new, ref = LsState(g, seed=seed), ls_reference.SweepLs(g, seed=seed)
-    for op, k in ops:
-        if op == "rounds":
-            new.run_rounds(k)
-            ref.run_rounds(k)
-        else:  # a manual move, then the search resumes from it
-            v = k % g.n_alive
-            move = "omega_one_swap" if op == "omega" else "weighted_one_two_swap"
-            assert getattr(new, move)(v) == getattr(ref, move)(v)
+    for k in rounds:
+        new.run_rounds(k)
+        ref.run_rounds(k)
+        _same_search(new, ref)
+
+
+# the hand-built graphs of the moves' spec tests in test_local_search.py,
+# which run the reference's moves: here they run the search itself
+spec_graphs = [([9, 3, 4], [(0, 1), (0, 2)]),
+               ([7, 3, 4], [(0, 1), (0, 2)]),
+               ([2, 2], []),
+               ([3, 2, 2], [(0, 1), (0, 2)]),
+               ([3, 2, 2], [(0, 1), (0, 2), (1, 2)]),
+               ([5, 4, 4, 3, 2, 9], [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (5, 4)])]
+
+
+@pytest.mark.parametrize("weights, edges", spec_graphs)
+@pytest.mark.parametrize("seed", range(5))
+def test_worklist_descent_replays_the_sweep_on_the_spec_graphs(weights, edges, seed):
+    g = WeightedGraph(weights, edges)
+    new, ref = LsState(g, seed=seed), ls_reference.SweepLs(g, seed=seed)
+    for k in (0, 1, 2, 5):
+        new.run_rounds(k)
+        ref.run_rounds(k)
         _same_search(new, ref)
 
 

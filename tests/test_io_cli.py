@@ -508,6 +508,36 @@ def test_cli_rejects_a_bad_weight_range(tmp_path, capsys, lo, hi):
     assert not out.exists()
 
 
+def _run_cli(argv, **kwargs):
+    """``python -m mwis.cli argv`` in a subprocess that imports the package
+    this suite imported, installed or not."""
+    package_root = str(Path(mwis.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "mwis.cli", *argv],
+                          capture_output=True, text=True, env=env, **kwargs)
+
+
+@pytest.mark.parametrize("argv", [["gen-weights", "--lo", "1", "--hi", str(10**23), "-o", "w.graph"],
+                                  ["solve", "--weights", f"generate:1:{2**64 + 2}"]])
+def test_cli_rejects_a_weight_span_past_2_64(tmp_path, argv):
+    # one 64-bit draw cannot cover such a span: rejection sampling would
+    # refuse every draw, so the command must fail at once instead of spinning
+    raw = tmp_path / "raw.graph"
+    raw.write_text("3 2 0\n2\n1 3\n2\n")
+    out = _run_cli([argv[0], str(raw), *argv[1:]], cwd=tmp_path, timeout=30)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: bad ") and "exceeds 2**64" in out.stderr
+    assert not (tmp_path / "w.graph").exists()
+
+
+def test_weight_generation_span_of_exactly_2_64():
+    g = WeightedGraph([1] * 50)
+    graph_io.generate_weights(g, seed=2, lo=2, hi=2**64 + 1)
+    assert all(2 <= g.weight(v) <= 2**64 + 1 for v in range(50))
+    assert len({g.weight(v) for v in range(50)}) == 50
+
+
 def test_cli_oracle_size_cap(tmp_path, capsys):
     g = WeightedGraph([1] * 30)
     gpath = tmp_path / "big.graph"
@@ -588,11 +618,6 @@ def test_cli_hybrid_completes_a_kernel_past_int64_greedily(tmp_path, capsys):
 
 
 def test_console_script_entry_point(edge_graph):
-    # the subprocess must import the package this suite imported, installed or not
-    package_root = str(Path(mwis.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
-    out = subprocess.run([sys.executable, "-m", "mwis.cli", "solve", str(edge_graph)],
-                         capture_output=True, text=True, env=env)
+    out = _run_cli(["solve", str(edge_graph)])
     assert out.returncode == 0
     assert json.loads(out.stdout)["weight"] == 5

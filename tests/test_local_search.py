@@ -1,4 +1,5 @@
-"""Iterated local search: moves, invariants, determinism, quality."""
+"""Iterated local search: the moves' spec (on the reference sweep), invariants,
+determinism, quality."""
 
 import time
 
@@ -29,7 +30,7 @@ def test_single_edge_picks_heavy_end():
 def test_omega_swap_inserts_heavier_vertex():
     # vertex 0 (w9) against two solution neighbors weighing 3+4
     g = WeightedGraph([9, 3, 4], [(0, 1), (0, 2)])
-    st = LsState(g)
+    st = ls_reference.SweepLs(g)
     assert st.omega_one_swap(1)  # plain insertion; re-maximization adds 2
     assert st.current_vertices() == (1, 2)
     assert st.omega_one_swap(0)
@@ -38,7 +39,7 @@ def test_omega_swap_inserts_heavier_vertex():
 
 def test_omega_swap_requires_strict_improvement():
     g = WeightedGraph([7, 3, 4], [(0, 1), (0, 2)])
-    st = LsState(g)
+    st = ls_reference.SweepLs(g)
     st.omega_one_swap(1)
     st.omega_one_swap(2)
     assert not st.omega_one_swap(0)  # 7 == 3+4, plateau move refused
@@ -47,7 +48,7 @@ def test_omega_swap_requires_strict_improvement():
 
 def test_omega_swap_plain_insert_without_neighbors():
     g = WeightedGraph([2, 2], [])
-    st = LsState(g)
+    st = ls_reference.SweepLs(g)
     assert st.omega_one_swap(0)
     # greedy re-maximization already pulled in the free vertex 1
     assert st.current_vertices() == (0, 1)
@@ -55,7 +56,7 @@ def test_omega_swap_plain_insert_without_neighbors():
 
 def test_one_two_swap_basic():
     g = WeightedGraph([3, 2, 2], [(0, 1), (0, 2)])
-    st = LsState(g)
+    st = ls_reference.SweepLs(g)
     st.omega_one_swap(0)
     assert st.current_vertices() == (0,)
     assert st.weighted_one_two_swap(0)
@@ -64,7 +65,7 @@ def test_one_two_swap_basic():
 
 def test_one_two_swap_rejects_adjacent_pair():
     g = WeightedGraph([3, 2, 2], [(0, 1), (0, 2), (1, 2)])
-    st = LsState(g)
+    st = ls_reference.SweepLs(g)
     st.omega_one_swap(0)
     assert not st.weighted_one_two_swap(0)
 
@@ -73,7 +74,7 @@ def test_one_two_swap_picks_best_pair():
     # center 0 (w5); pairs: (1,2)=4+4=8 adjacent, (1,3)=4+3=7, (2,4)=4+2=6...
     g = WeightedGraph([5, 4, 4, 3, 2, 9],
                       [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (5, 4)])
-    st = LsState(g)
+    st = ls_reference.SweepLs(g)
     # force exactly {0, 5} into the solution
     st.omega_one_swap(5)
     st.omega_one_swap(0)

@@ -6,7 +6,7 @@ import pytest
 from helpers import clique_graph, cycle_graph, path_graph, random_graph, star_graph
 from mwis import (GraphError, OracleSizeError, WeightedGraph,
                   brute_force_critical_set, brute_force_mwis)
-from mwis.oracle import _masks_of, subgraph_mwis_weight
+from mwis.oracle import _masks_of
 from mwis.solution import verify_independent_set
 
 
@@ -37,8 +37,6 @@ def test_weights_past_int64_are_refused(weights):
     g = path_graph(weights)
     with pytest.raises(GraphError):
         brute_force_mwis(g)
-    with pytest.raises(GraphError):
-        subgraph_mwis_weight(g, [0, 2])
 
 
 def test_weights_summing_to_the_int64_limit_are_exact():
@@ -56,13 +54,6 @@ def test_returns_independent_set():
         g = random_graph(seed, 12, 0.4)
         sol = brute_force_mwis(g)
         assert verify_independent_set(g, sol.vertices) == sol.weight
-
-
-def test_subgraph_weight_matches_full_oracle():
-    g = random_graph(5, 12, 0.3)
-    verts = [0, 2, 3, 7, 9, 11]
-    sub, _ = g.induced_subgraph(verts)
-    assert subgraph_mwis_weight(g, verts) == brute_force_mwis(sub).weight
 
 
 # -- critical sets -----------------------------------------------------
