@@ -50,12 +50,13 @@ are therefore functions of the graph alone: the greedy pass, the phase order
 and the warm start cannot move them.
 
 **Stopping early.**  The total weight minus any feasible flow bounds the
-maximum value from above, so :func:`critical_value` can stop the flow once
-that bound falls to a caller's threshold: after the clip and the greedy
-pass, and after every Dinic phase.  The LP bound of
-:meth:`mwis.reductions.ReductionEngine.lp_bound` uses this to decide a
-prune test without raising the flow to a maximum.  The rule itself always
-raises it to a maximum, which its cut certificate needs.
+maximum value from above, so :func:`critical_value_at_most` can stop the
+flow once that bound falls to a caller's threshold: after the clip and the
+greedy pass, and after every Dinic phase.  The LP prune test of
+:meth:`mwis.reductions.ReductionEngine.lp_prunes` uses this to decide
+``LP <= slack`` without raising the flow to a maximum; a flow that does
+reach its maximum decides it by the exact value.  The rule itself always
+raises the flow to a maximum, which its cut certificate needs.
 
 **Futile calls.**  If ``U`` maximizes ``w(U) - w(N(U))`` on ``G``, then
 ``G - N[U]`` holds no set of positive value.  Such a set ``X`` avoids
@@ -107,19 +108,16 @@ def critical_weighted_set(graph: WeightedGraph,
     return chosen, value
 
 
-def critical_value(graph: WeightedGraph,
-                   flow: list[tuple[int, int, int]] | None = None,
-                   deadline: float | None = None,
-                   stop: int | None = None) -> int:
-    """Return the maximum of ``w(U) - w(N(U))``, or an upper bound on it.
+def critical_value_at_most(graph: WeightedGraph, flow: list[tuple[int, int, int]],
+                           deadline: float | None, stop: int) -> bool:
+    """Whether the maximum of ``w(U) - w(N(U))`` is at most ``stop``.
 
     The value is the total weight minus the flow, so every feasible flow
-    bounds it from above.  With ``stop`` given, the flow is not raised
-    further once that bound is at most ``stop``, and the bound is returned;
-    otherwise the flow is raised to a maximum and the value is exact.
-    ``flow`` and ``deadline`` work as in :func:`critical_weighted_set`.
+    bounds it from above: the flow is not raised further once that bound is
+    at most ``stop``.  ``flow`` and ``deadline`` work as in
+    :func:`critical_weighted_set`.
     """
-    return sum(_flow(graph, flow, deadline, stop)[1])
+    return sum(_flow(graph, flow, deadline, stop)[1]) <= stop
 
 
 def _flow(graph, flow, deadline, stop=None):

@@ -47,7 +47,10 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) via rejection sampling."""
+        """Uniform integer in [0, bound) via rejection sampling; one 64-bit
+        draw covers at most 2**64 values, so ``bound`` must be in [1, 2**64]."""
+        if not 1 <= bound <= 1 << 64:
+            raise ValueError(f"bound {bound} is below 1 or exceeds 2**64")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             x = self.next64()
@@ -59,7 +62,7 @@ def generate_weights(graph: WeightedGraph, seed: int, lo: int = 1, hi: int = 200
     """Assign uniform random weights in [lo, hi], in ascending vertex order."""
     if lo < 1 or hi < lo:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    if hi - lo + 1 > 1 << 64:  # SplitMix64.below would reject every 64-bit draw
+    if hi - lo + 1 > 1 << 64:  # refused before any draw, so also on an empty graph
         raise ValueError(f"the span of [{lo}, {hi}] exceeds 2**64")
     rng = SplitMix64(seed)
     for v in graph.alive_vertices():

@@ -64,17 +64,17 @@ def mwis_weight_and_mask(adj_masks: list[int], weights: list[int]) -> tuple[int,
     return best_w, _reverse_bits(best_m, n)
 
 
-def _masks_of(graph: WeightedGraph, vertices: list[int], cap: int = MAX_ORACLE_VERTICES,
-              name: str = "oracle") -> tuple[list[int], list[int]]:
-    """Neighbor bitmasks and weights of the subgraph ``vertices`` induce,
-    bit ``i`` standing for the ``i``-th smallest of them.  Refuses more than
-    ``cap`` vertices."""
-    xadj, adj, weights, _, _ = graph.alive_csr(vertices)
+def _masks_of(graph: WeightedGraph, cap: int = MAX_ORACLE_VERTICES,
+              name: str = "oracle") -> tuple[list[int], list[int], list[int]]:
+    """Neighbor bitmasks, weights and ids of the alive graph, bit ``i``
+    standing for ``verts[i]``, the ``i``-th smallest alive id.  Refuses more
+    than ``cap`` vertices."""
+    xadj, adj, weights, verts, _ = graph.alive_csr()
     if len(weights) > cap:
         raise OracleSizeError(f"{name} limited to {cap} vertices, got {len(weights)}")
     check_total_weight(weights)
     masks = [sum(1 << j for j in adj[xadj[i]:xadj[i + 1]]) for i in range(len(weights))]
-    return masks, weights
+    return masks, weights, verts
 
 
 def brute_force_mwis(graph: WeightedGraph) -> Solution:
@@ -82,8 +82,7 @@ def brute_force_mwis(graph: WeightedGraph) -> Solution:
 
     Refuses graphs with more than ``MAX_ORACLE_VERTICES`` alive vertices.
     """
-    verts = sorted(graph.alive_vertices())
-    adj, w = _masks_of(graph, verts)
+    adj, w, verts = _masks_of(graph)
     best_w, best_m = mwis_weight_and_mask(adj, w)
     chosen = tuple(verts[i] for i in range(len(verts)) if best_m >> i & 1)
     return Solution(chosen, best_w, optimal=True)
@@ -98,9 +97,8 @@ def brute_force_critical_set(graph: WeightedGraph) -> tuple[list[int], int]:
     """
     import numpy as np
 
-    verts = sorted(graph.alive_vertices())
+    adj, w, verts = _masks_of(graph, MAX_CRITICAL_VERTICES, "critical-set oracle")
     n = len(verts)
-    adj, w = _masks_of(graph, verts, MAX_CRITICAL_VERTICES, "critical-set oracle")
     size = 1 << n
     wsum = np.zeros(size, dtype=np.int64)
     nbr = np.zeros(size, dtype=np.int64)

@@ -7,17 +7,17 @@ turns any independent set of the reduced graph into one of the original graph
 with weight increased by exactly the offset.  Applying the rules to a
 fixpoint yields the kernel.
 
-Scheduling follows the incremental discipline: each local rule keeps a
-min-heap of vertices whose closed neighborhood changed since the rule last
-looked at them.  A rule drains its queue; whenever any rule changed the
-graph, scheduling restarts from the first rule.  The dirty-vertex
-bookkeeping only skips vertices whose check cannot have changed, so a
-scheduler that re-queues every alive vertex before each drain must produce
-the same kernel; the test suite keeps one as its reference and asserts that
-equivalence.  The rules a reduce drains are always a prefix of
-``LOCAL_RULES``, followed in the ``full`` variant by the critical rule; a
-``dense`` reduce below the root drains the first six, and only the queues of
-the prefix are filled.  Given a deadline, a reduce raises
+Scheduling follows the incremental discipline: each local rule is one
+engine method, ``_try_<rule>(v)``, and keeps a min-heap of vertices whose
+closed neighborhood changed since the rule last looked at them.  A rule
+drains its queue; whenever any rule changed the graph, scheduling restarts
+from the first rule.  The dirty-vertex bookkeeping only skips vertices whose
+check cannot have changed, so a scheduler that re-queues every alive vertex
+before each drain must produce the same kernel; the test suite keeps one as
+its reference and asserts that equivalence.  The rules a reduce drains are
+always a prefix of ``LOCAL_RULES``, followed in the ``full`` variant by the
+critical rule; a ``dense`` reduce below the root drains the first six, and
+only the queues of the prefix are filled.  Given a deadline, a reduce raises
 :class:`mwis.errors.DeadlinePassed` at its first clock read past it, every
 edit made so far recorded.
 
@@ -33,8 +33,8 @@ again, so a vertex kept out could only have been popped to fail, and the
 rules fire in the same order as without them.  Domination and the meta rule
 read the neighborhoods of ``v``'s neighbors, which can change without a
 touch of ``v``, so they have no screen; an inexact one would reorder the
-edits.  Their wrappers test each edge's pairs in one pass over the graph's
-plain lists, and the meta rule's wrapper refutes most pairs before building
+edits.  Their ``_try_`` methods test each edge's pairs in one pass over the
+graph's plain lists, and the meta rule's refutes most pairs before building
 the local subproblem.  The tests keep an unscreened engine as the reference
 of the screens.
 
@@ -62,7 +62,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .critical import critical_value, critical_weighted_set
+from .critical import critical_value_at_most, critical_weighted_set
 from .errors import check_deadline
 from .graph import WeightedGraph
 from .solution import verify_independent_set
@@ -225,10 +225,12 @@ class ReductionEngine:
     after edits (rolled-back edits leave nothing pending).  The engine also
     keeps the critical-set rule's last flow as the warm start of its next
     one, and the graph mark at which that rule is known not to fire; the
-    LP bound reads both, and its flow is the only one a ``dense`` engine runs.
-    There is one scheduler; the tests' reference schedulers are subclasses
-    whose ``_drain`` re-queues every alive vertex first, or whose ``touch``
-    queues a vertex for every rule it fills, screens aside.
+    LP prune test ``lp_prunes`` reads both, and its flow is the only one a
+    ``dense`` engine runs.  Each local rule is one method, ``_try_<rule>``,
+    which the scheduler looks up by the rule's name.  There is one
+    scheduler; the tests' reference schedulers are subclasses whose
+    ``_drain`` re-queues every alive vertex first, or whose ``touch`` queues
+    a vertex for every rule it fills, screens aside.
     """
 
     def __init__(self, graph: WeightedGraph, variant: str = "full",
@@ -258,12 +260,9 @@ class ReductionEngine:
     # ------------------------------------------------------------------
 
     def touch(self, v: int) -> None:
-        """Queue ``v`` for every rule the current mode drains whose screen
-        it passes."""
-        g = self.g
-        if not g.is_alive(v):
-            return
-        w, adj, s = g.plain_lists()
+        """Queue the alive vertex ``v`` for every rule the current mode
+        drains whose screen it passes."""
+        w, adj, s = self.g.plain_lists()
         for (heap, members), ok in zip(self._filled, _screens(len(adj[v]), w[v], s[v])):
             if ok and v not in members:
                 members.add(v)
@@ -400,24 +399,17 @@ class ReductionEngine:
         return sorted(out)
 
     # ------------------------------------------------------------------
-    # The rules, one method each.  ``_try_<rule>(v)`` performs at most one
-    # application and reports whether the graph changed; a rule written for
-    # one vertex is its own ``_try_`` entry through a class alias, which
-    # tracing can wrap alone.  The meta rule keeps its pair test
-    # ``neighbor_removal_meta``, which edits the graph only when it returns
-    # True; its wrapper then returns at once, so the wrapper may loop over
-    # the live neighbor list.
+    # The rules: ``_try_<rule>(v)`` applies the rule at most once at ``v``
+    # and reports whether the graph changed.
     # ------------------------------------------------------------------
 
-    def neighborhood_removal(self, v: int) -> bool:
+    def _try_neighborhood_removal(self, v: int) -> bool:
         """Force ``v`` in when it outweighs its whole neighborhood."""
         g = self.g
         if g.weight(v) >= g.neighbor_weight(v):
             self.include_vertex(v, rule="neighborhood_removal")
             return True
         return False
-
-    _try_neighborhood_removal = neighborhood_removal
 
     def _try_weighted_domination(self, v: int) -> bool:
         # Each edge (u, v), both ways: ``u`` goes when ``N[u]`` covers
@@ -436,7 +428,7 @@ class ReductionEngine:
                 return True
         return False
 
-    def weighted_vertex_folding(self, v: int) -> bool:
+    def _try_weighted_vertex_folding(self, v: int) -> bool:
         """Fold a degree-2 vertex with non-adjacent neighbors."""
         g = self.g
         if g.degree(v) != 2:
@@ -453,9 +445,7 @@ class ReductionEngine:
             introduced=vid, fold_in=(u, x), fold_out=(v,)))
         return True
 
-    _try_weighted_vertex_folding = weighted_vertex_folding
-
-    def isolated_vertex_removal(self, v: int) -> bool:
+    def _try_isolated_vertex_removal(self, v: int) -> bool:
         """Force in a simplicial vertex that is heaviest in its clique."""
         g = self.g
         nbrs = g.neighbors(v)
@@ -469,9 +459,7 @@ class ReductionEngine:
         self.include_vertex(v, rule="isolated_vertex_removal")
         return True
 
-    _try_isolated_vertex_removal = isolated_vertex_removal
-
-    def isolated_weight_transfer(self, v: int) -> bool:
+    def _try_isolated_weight_transfer(self, v: int) -> bool:
         """Remove a simplicial vertex, pushing its weight onto heavier mates.
 
         Clique mates no heavier than ``v`` are deleted outright; the rest
@@ -503,9 +491,7 @@ class ReductionEngine:
             self.set_weight(x, g.weight(x) - wv)
         return True
 
-    _try_isolated_weight_transfer = isolated_weight_transfer
-
-    def weighted_twin(self, v: int) -> bool:
+    def _try_weighted_twin(self, v: int) -> bool:
         """Include or fold ``v`` and its twin over an independent degree-3
         neighborhood.  Only the first twin in ``v``'s first neighbor's list
         is tried."""
@@ -540,9 +526,7 @@ class ReductionEngine:
             return True
         return False
 
-    _try_weighted_twin = weighted_twin
-
-    def neighborhood_folding(self, v: int) -> bool:
+    def _try_neighborhood_folding(self, v: int) -> bool:
         """Fold ``v`` with its independent neighborhood when only the full
         neighborhood can beat ``v``."""
         g = self.g
@@ -562,13 +546,12 @@ class ReductionEngine:
             introduced=vid, fold_in=tuple(nbrs), fold_out=(v,)))
         return True
 
-    _try_neighborhood_folding = neighborhood_folding
-
     def _try_neighbor_removal_meta(self, v: int) -> bool:
         # Each edge (u, v) is tried both ways, ``v`` keeping first.  A pair
         # is refuted at the first vertex of the local set ``N(a) - N[b]``
         # heavier than the slack, found without building that set; only the
-        # pairs left go to ``neighbor_removal_meta``.
+        # pairs left go to ``neighbor_removal_meta``, which edits the graph
+        # only when it returns True, so the loop over ``adj[v]`` ends there.
         w, adj, _ = self.g.plain_lists()
         for u in adj[v]:
             for a, b in ((v, u), (u, v)):
@@ -627,7 +610,7 @@ class ReductionEngine:
         if g.n_alive == 0 or g.checkpoint() == self._cwis_idle_mark:
             return False
         chosen, value = critical_weighted_set(g, self._cwis_flow, deadline)
-        if value <= 0 or not chosen:
+        if value == 0:
             self._cwis_idle_mark = g.checkpoint()
             return False
         nbhd = self._fringe(chosen)  # chosen is independent, so this is N(chosen)
@@ -642,35 +625,30 @@ class ReductionEngine:
         self._cwis_idle_mark = g.checkpoint()
         return True
 
-    def lp_bound(self, deadline: float | None = None,
-                 slack: int | None = None) -> int | None:
-        """Upper bound on the MWIS weight of the graph: its half-integral LP
-        relaxation, rounded down.
+    def lp_prunes(self, slack: int, deadline: float | None = None) -> bool:
+        """Whether the half-integral LP relaxation of the graph, rounded
+        down, is at most ``slack``: the search's prune test.
 
         A maximum flow ``F`` on the bipartite double cover gives the LP value
         ``W - F / 2``, which is ``(W + value) / 2`` for the critical-set value
-        ``value`` and the alive weight ``W`` (Nemhauser & Trotter).  On a
-        graph the critical rule is known not to fire on, ``value`` is 0 and no
-        flow runs.  Otherwise the flow starts from the rule's last one and
-        raises at ``deadline`` as :meth:`reduce` does, its flow kept.
-
-        With ``slack`` given, only the prune test ``LP <= slack`` is decided.
-        Since ``value >= 0``, the LP is at least ``W // 2``: when that exceeds
-        ``slack``, no flow runs and ``None`` is returned.  Otherwise any
-        feasible flow ``F`` bounds the LP by ``(2W - F) // 2``, so the flow
-        stops as soon as that is at most ``slack`` and returns it; the flow
-        left behind is a valid warm start.  A flow that reaches its maximum
-        first returns the exact LP.  ``lp_flows`` counts the flows run."""
+        ``value`` and the alive weight ``W`` (Nemhauser & Trotter), so the
+        test is ``value <= 2 * slack + 1 - W``.  Since ``value >= 0``, the LP
+        is at least ``W // 2``: when that exceeds ``slack`` the answer is no,
+        and on a graph the critical rule is known not to fire on, ``value``
+        is 0 and the answer is yes, both without a flow.  Otherwise the flow
+        starts from the rule's last one and stops as soon as it proves the
+        prune (see :func:`mwis.critical.critical_value_at_most`); the flow
+        left behind is a valid warm start.  ``deadline`` works as in
+        :meth:`reduce`, the flow reached kept.  ``lp_flows`` counts the flows
+        run."""
         g = self.g
-        half = g.w_alive // 2
-        if slack is not None and half > slack:
-            return None
+        if g.w_alive // 2 > slack:
+            return False
         if g.checkpoint() == self._cwis_idle_mark:
-            return half
+            return True
         self.lp_flows += 1
-        stop = None if slack is None else 2 * slack + 1 - g.w_alive
-        return (g.w_alive + critical_value(g, self._cwis_flow, deadline, stop)) // 2
-
+        return critical_value_at_most(g, self._cwis_flow, deadline,
+                                      2 * slack + 1 - g.w_alive)
 
 def reduce_to_kernel(graph: WeightedGraph, variant: str = "full") -> KernelResult:
     """Reduce ``graph`` in place to its kernel.

@@ -13,8 +13,9 @@ Backtracking rolls the shared graph back via the edit log instead of
 copying.
 
 The prune only asks whether the LP is at most the slack ``best - offset``,
-and the LP is never below half the alive weight ``W``, so the LP test runs
-no flow when ``W // 2`` exceeds the slack; it is tried before the cover.
+the yes/no test of :meth:`ReductionEngine.lp_prunes`; the LP is never below
+half the alive weight ``W``, so the test runs no flow when ``W // 2``
+exceeds the slack.  It is tried before the cover.
 In ``full`` the LP is free at the reduction fixpoint, where the
 critical-set rule has just found nothing: it is ``W // 2``.  ``dense``
 never runs that rule, so its LP test runs a warm-started flow of its own,
@@ -79,7 +80,7 @@ class SearchStats:
     prunes: int = 0
     ils_runs: int = 0
     ils_rounds: int = 0  # summed over the ILS runs
-    lp_flows: int = 0  # flows run by the LP bound
+    lp_flows: int = 0  # flows run by the LP prune test
     max_depth: int = 0
     rule_applications: Counter = field(default_factory=Counter)
 
@@ -227,11 +228,10 @@ class _Machine:
         reduction fixpoint, and stops its flow once the prune is proved."""
         flows = eng.lp_flows
         try:
-            lp = eng.lp_bound(self.deadline, slack)
+            if eng.lp_prunes(slack, self.deadline):
+                return True
         finally:  # a flow cut short by the deadline still counts
             self.stats.lp_flows += eng.lp_flows - flows
-        if lp is not None and lp <= slack:
-            return True
         return clique_cover_bound(eng.g, self.deadline) <= slack
 
     def _ils_bound(self, ctx: _Ctx) -> None:

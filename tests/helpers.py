@@ -6,7 +6,7 @@ import sys
 
 from hypothesis import strategies as st
 
-from mwis import ReductionEngine, WeightedGraph
+from mwis import ReductionEngine, WeightedGraph, critical_weighted_set
 
 
 def random_graph(seed, n, p, wmax=200):
@@ -127,6 +127,12 @@ def validate_cover(graph, cliques, weights):
         assert covered[v] >= graph.weight(v), f"vertex {v} not covered by enough clique weight"
 
 
+def exact_lp(g):
+    """The half-integral LP relaxation of ``g``'s MWIS, rounded down: half
+    the alive weight plus the critical-set value (Nemhauser & Trotter)."""
+    return (g.w_alive + critical_weighted_set(g)[1]) // 2
+
+
 class ScanEngine(ReductionEngine):
     """Reference scheduler: re-queues every alive vertex before each drain,
     so it checks every rule everywhere instead of at dirty vertices only."""
@@ -152,8 +158,6 @@ class UnscreenedEngine(ReductionEngine):
             self.touch(v)
 
     def touch(self, v):
-        if not self.g.is_alive(v):
-            return
         for heap, members in self._filled:
             if v not in members:
                 members.add(v)

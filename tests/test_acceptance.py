@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from helpers import (ScanEngine, clique_graph, copy_graph, cycle_graph,
+from helpers import (ScanEngine, clique_graph, copy_graph, cycle_graph, exact_lp,
                      gnm_graph, path_graph, random_graph, random_tree,
                      star_graph, structured_family, twin_gadget_graph)
 from mwis import (ReductionEngine, SolverConfig,
@@ -129,12 +129,12 @@ def test_04_bound_soundness_and_prune_ab(monkeypatch):
     for g in _oracle_suite_graphs():
         want = brute_force_mwis(g).weight
         assert clique_cover_bound(g) >= want
-        assert ReductionEngine(g).lp_bound() >= want
+        assert exact_lp(g) >= want
         checked += 1
     graphs = [random_graph(seed, 24, 0.4) for seed in range(20)]
     on = [solve(g) for g in graphs]
     monkeypatch.setattr(mwis.solver, "clique_cover_bound", lambda g, deadline=None: math.inf)
-    monkeypatch.setattr(ReductionEngine, "lp_bound", lambda eng, deadline, slack=None: math.inf)
+    monkeypatch.setattr(ReductionEngine, "lp_prunes", lambda eng, slack, deadline=None: False)
     off = [solve(g) for g in graphs]
     for seed, (a, b) in enumerate(zip(on, off)):
         assert a.solution.weight == b.solution.weight, seed

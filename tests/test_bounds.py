@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (clique_graph, cubic_graph, path_graph, random_graph, small_graphs,
-                     validate_cover)
+from helpers import (clique_graph, cubic_graph, exact_lp, path_graph, random_graph,
+                     small_graphs, validate_cover)
 from mwis import (DeadlinePassed, ReductionEngine, SolverConfig, WeightedGraph,
                   brute_force_mwis, build_clique_cover, clique_cover_bound,
                   critical_weighted_set, solve)
@@ -84,7 +84,8 @@ def test_lp_bound_is_sound_alone_and_beside_the_cover(case, variant):
     work = _shifted(g, shift)
     eng = ReductionEngine(work, variant=variant)
     eng.reduce(initial=True)
-    lp = eng.lp_bound()
+    lp = exact_lp(work)
+    assert eng.lp_prunes(lp) and not eng.lp_prunes(lp - 1)
     assert eng.offset + lp >= want
     assert eng.offset + min(clique_cover_bound(work), lp) >= want
     res = solve(_shifted(g, shift), SolverConfig(variant=variant))
@@ -101,10 +102,13 @@ def test_full_fixpoint_lp_shortcut_matches_a_cold_flow(case, data):
     for _ in range(2):  # the reduce fixpoint, then again below a branch
         if g.n_alive == 0:
             break
-        assert g.checkpoint() == eng._cwis_idle_mark  # lp_bound runs no flow here
+        assert g.checkpoint() == eng._cwis_idle_mark  # lp_prunes runs no flow here
         _, value = critical_weighted_set(g)
         assert value == 0
-        assert eng.lp_bound() == (g.w_alive + value) // 2 == g.w_alive // 2
+        half = exact_lp(g)
+        assert half == g.w_alive // 2
+        assert eng.lp_prunes(half) and not eng.lp_prunes(half - 1)
+        assert eng.lp_flows == 0
         eng.exclude_vertex(data.draw(st.sampled_from(sorted(g.alive_vertices()))))
         eng.reduce()
 
@@ -114,16 +118,17 @@ def test_dense_lp_bound_runs_the_flow_and_honours_the_deadline():
         g = random_graph(seed, 14, 0.3)
         eng = ReductionEngine(g, variant="dense")
         eng.reduce(initial=True)
-        _, value = critical_weighted_set(g)
-        assert eng.lp_bound() == (g.w_alive + value) // 2
-        assert eng.lp_bound() >= brute_force_mwis(g).weight
+        lp = exact_lp(g)
+        assert lp >= brute_force_mwis(g).weight
+        assert eng.lp_prunes(lp) and not eng.lp_prunes(lp - 1)
+        # a dense engine never knows the critical rule idle, so every test
+        # whose slack reaches half the alive weight runs a flow
+        assert eng.lp_flows == 1 + (lp - 1 >= g.w_alive // 2)
     g = cubic_graph(1, 2000, wmax=1)
     big = ReductionEngine(g, variant="dense")
-    with pytest.raises(DeadlinePassed):
-        big.lp_bound(deadline=time.monotonic())
     slack = g.w_alive // 2  # the smallest slack that runs the flow
     with pytest.raises(DeadlinePassed):
-        big.lp_bound(deadline=time.monotonic(), slack=slack)
+        big.lp_prunes(slack, deadline=time.monotonic())
     # The early stop needed a flow of 2W - 2 * slack - 1; the clip and the
     # greedy pass, all that ran before the deadline, reached less, and what
     # they reached was handed back.
@@ -140,7 +145,7 @@ def test_lp_prune_test_decides_like_the_exact_lp(case, variant, data):
         eng.reduce(initial=True)
         return eng
 
-    exact = reduced().lp_bound()
+    exact = exact_lp(reduced().g)
     half = reduced().g.w_alive // 2
     if exact - half <= 40:
         slacks = range(half - 2, exact + 3)
@@ -150,7 +155,39 @@ def test_lp_prune_test_decides_like_the_exact_lp(case, variant, data):
                   *(data.draw(inner) for _ in range(4))]
     for s in slacks:
         eng = reduced()
-        r = eng.lp_bound(slack=s)
-        assert r is None or r >= exact
-        assert (r is not None and r <= s) == (exact <= s)
-        assert eng.lp_bound() == exact  # warm-started from the flow left behind
+        assert eng.lp_prunes(s) == (exact <= s)
+        # warm-started from the flow left behind, the flow still reaches the
+        # exact LP when it must
+        assert eng.lp_prunes(exact) and not eng.lp_prunes(exact - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bound_cases, st.sampled_from(["full", "dense"]), st.data())
+def test_lp_prune_test_through_edits_and_rollbacks(case, variant, data):
+    # Early-stopped flows carried as warm starts across includes, excludes,
+    # weight cuts, reduces and rollbacks, and the full variant's idle-mark
+    # shortcut, decide every test like the exact LP of the graph as it stands.
+    g, shift = case
+    g = _shifted(g, shift)
+    eng = ReductionEngine(g, variant=variant)
+    marks = []
+    for _ in range(10):
+        op = data.draw(st.sampled_from(["include", "exclude", "cut", "reduce", "checkpoint",
+                                        "rollback"]))
+        alive = sorted(g.alive_vertices())
+        if op in ("include", "exclude", "cut") and alive:
+            v = data.draw(st.sampled_from(alive))
+            if op == "cut":
+                eng.set_weight(v, (g.weight(v) + 1) // 2)
+            else:
+                (eng.include_vertex if op == "include" else eng.exclude_vertex)(v)
+        elif op == "reduce":
+            eng.reduce(initial=data.draw(st.booleans()))
+        elif op == "checkpoint":
+            marks.append(eng.checkpoint())
+        elif op == "rollback" and marks:
+            eng.rollback(marks.pop())
+        exact, half = exact_lp(g), g.w_alive // 2
+        slacks = [half - 1, half, exact - 1, exact, exact + 1, (exact + g.w_alive) // 2]
+        for s in data.draw(st.permutations(slacks)):
+            assert eng.lp_prunes(s) == (exact <= s), (op, s)

@@ -20,7 +20,7 @@ from helpers import (ScanEngine, UnscreenedEngine, copy_graph, cubic_graph,
 from mwis import (LsState, ReductionEngine, SolverConfig, WeightedGraph,
                   brute_force_mwis, critical, critical_weighted_set,
                   reduce_to_kernel, reductions, solve)
-from mwis.critical import critical_value
+from mwis.critical import critical_value_at_most
 from mwis.solution import verify_independent_set
 
 
@@ -190,8 +190,11 @@ def test_flow_matches_reference_on_large_graphs():
         assert cold == flow_reference.critical_weighted_set(g)
         value, total = cold[1], g.w_alive
         for stop in (0, value - 1, value, value + 1, value + (total - value) // 8, total):
-            got = critical_value(g, stop=stop)
+            flow = []
+            at_most = critical_value_at_most(g, flow, None, stop)
+            got = total - sum(a for _, _, a in flow)  # the bound the flow reached
             assert value <= got <= stop if value <= stop else got == value, stop
+            assert at_most == (value <= stop)
 
         def spy(graph, flow=None, deadline=None):
             warm = critical_weighted_set(graph, flow, deadline)

@@ -234,9 +234,9 @@ def test_documented_output_bytes(tmp_path, capsys):
                       [(u, v) for u in range(4) for v in transfer.neighbors(u) if u < v]
                       + [(4, 5), (5, 6)])
     eng = ReductionEngine(g)
-    assert eng.isolated_weight_transfer(0)
-    assert eng.neighborhood_removal(3)
-    assert eng.neighborhood_folding(5)
+    assert eng._try_isolated_weight_transfer(0)
+    assert eng._try_neighborhood_removal(3)
+    assert eng._try_neighborhood_folding(5)
     kernel_map = sorted(g.alive_vertices())
     buf = io.StringIO()
     graph_io.write_lifting(eng.offset, kernel_map, eng.records, buf)
@@ -508,14 +508,18 @@ def test_cli_rejects_a_bad_weight_range(tmp_path, capsys, lo, hi):
     assert not out.exists()
 
 
-def _run_cli(argv, **kwargs):
-    """``python -m mwis.cli argv`` in a subprocess that imports the package
-    this suite imported, installed or not."""
+def _run_python(args, **kwargs):
+    """``python args`` in a subprocess that imports the package this suite
+    imported, installed or not."""
     package_root = str(Path(mwis.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "mwis.cli", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, **kwargs)
+
+
+def _run_cli(argv, **kwargs):
+    return _run_python(["-m", "mwis.cli", *argv], **kwargs)
 
 
 @pytest.mark.parametrize("argv", [["gen-weights", "--lo", "1", "--hi", str(10**23), "-o", "w.graph"],
@@ -529,6 +533,20 @@ def test_cli_rejects_a_weight_span_past_2_64(tmp_path, argv):
     assert out.returncode == 1
     assert out.stderr.startswith("error: bad ") and "exceeds 2**64" in out.stderr
     assert not (tmp_path / "w.graph").exists()
+
+
+@pytest.mark.parametrize("bound", [0, 2**64 + 1], ids=["zero", "past_2_64"])
+def test_splitmix_below_refuses_a_bound_outside_1_to_2_64(bound):
+    # past 2**64 rejection sampling would refuse every draw, so the call runs
+    # in a subprocess whose timeout turns a spin into a failure
+    code = ("from mwis.graph_io import SplitMix64\n"
+            "try:\n"
+            f"    SplitMix64(1).below({bound})\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    out = _run_python(["-c", code], timeout=30)
+    assert out.returncode == 0 and out.stderr == ""
+    assert "exceeds 2**64" in out.stdout
 
 
 def test_weight_generation_span_of_exactly_2_64():

@@ -79,9 +79,8 @@ def test_critical_size_cap():
 
 def _critical_over_independent(g):
     """Exhaustive max of w(I) - w(N(I)) over independent sets only."""
-    verts = sorted(g.alive_vertices())
+    adj, w, verts = _masks_of(g)
     n = len(verts)
-    adj, w = _masks_of(g, verts)
     best = 0
     for mask in range(1 << n):
         if any(adj[i] & mask for i in range(n) if mask >> i & 1):

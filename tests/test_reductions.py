@@ -38,7 +38,7 @@ def check_alpha_preserved(g, engine):
 def test_neighborhood_removal_star():
     g = star_graph(10, [3, 3, 3])
     eng = ReductionEngine(g)
-    assert eng.neighborhood_removal(0)
+    assert eng._try_neighborhood_removal(0)
     assert g.n_alive == 0 and eng.offset == 10
     assert lift_solution((), eng.records) == {0}
 
@@ -46,21 +46,21 @@ def test_neighborhood_removal_star():
 def test_neighborhood_removal_isolated_vertex():
     g = WeightedGraph([5])
     eng = ReductionEngine(g)
-    assert eng.neighborhood_removal(0)
+    assert eng._try_neighborhood_removal(0)
     assert eng.offset == 5
 
 
 def test_neighborhood_removal_triangle_oracle():
     g = clique_graph([5, 2, 2])
     eng = ReductionEngine(g)
-    assert eng.neighborhood_removal(0)
+    assert eng._try_neighborhood_removal(0)
     check_alpha_preserved(clique_graph([5, 2, 2]), eng)
 
 
 def test_neighborhood_removal_not_applicable():
     g = star_graph(5, [3, 3])
     eng = ReductionEngine(g)
-    assert not eng.neighborhood_removal(0)
+    assert not eng._try_neighborhood_removal(0)
     assert eng.offset == 0 and g.n_alive == 3
 
 
@@ -136,7 +136,7 @@ def test_neighbor_removal_meta_past_int64(wv, applies):
 def test_neighborhood_folding_path():
     g = path_graph([2, 3, 2])
     eng = ReductionEngine(g)
-    assert eng.neighborhood_folding(1)
+    assert eng._try_neighborhood_folding(1)
     assert eng.offset == 3
     (vid,) = g.alive_vertices()
     assert g.weight(vid) == 1
@@ -146,20 +146,20 @@ def test_neighborhood_folding_path():
 def test_neighborhood_folding_blocked_by_light_neighborhood():
     g = path_graph([1, 5, 1])
     eng = ReductionEngine(g)
-    assert not eng.neighborhood_folding(1)
+    assert not eng._try_neighborhood_folding(1)
 
 
 def test_neighborhood_folding_blocked_by_second_condition():
     g = star_graph(3, [4, 4])
     eng = ReductionEngine(g)
-    assert not eng.neighborhood_folding(0)
+    assert not eng._try_neighborhood_folding(0)
 
 
 def test_neighborhood_folding_lift_both_ways():
     # kernel vertex chosen -> take the old neighborhood, else take v
     g = path_graph([2, 3, 2])
     eng = ReductionEngine(g)
-    eng.neighborhood_folding(1)
+    eng._try_neighborhood_folding(1)
     (vid,) = g.alive_vertices()
     assert lift_solution((vid,), eng.records) == {0, 2}
     assert lift_solution((), eng.records) == {1}
@@ -172,7 +172,7 @@ def test_neighborhood_folding_lift_both_ways():
 def test_isolated_removal_triangle():
     g = clique_graph([5, 3, 2])
     eng = ReductionEngine(g)
-    assert eng.isolated_vertex_removal(0)
+    assert eng._try_isolated_vertex_removal(0)
     assert eng.offset == 5 and g.n_alive == 0
     check_alpha_preserved(clique_graph([5, 3, 2]), eng)
 
@@ -180,14 +180,14 @@ def test_isolated_removal_triangle():
 def test_isolated_removal_k4_symmetric():
     g = clique_graph([7, 7, 7, 7])
     eng = ReductionEngine(g)
-    assert eng.isolated_vertex_removal(2)
+    assert eng._try_isolated_vertex_removal(2)
     assert eng.offset == 7
 
 
 def test_isolated_removal_blocked_by_heavier_mate():
     g = clique_graph([5, 6, 2])
     eng = ReductionEngine(g)
-    assert not eng.isolated_vertex_removal(0)
+    assert not eng._try_isolated_vertex_removal(0)
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +197,7 @@ def test_isolated_removal_blocked_by_heavier_mate():
 def test_weight_transfer_example():
     g = WeightedGraph([4, 3, 6, 5], [(0, 1), (0, 2), (1, 2), (2, 3)])
     eng = ReductionEngine(g)
-    assert eng.isolated_weight_transfer(0)
+    assert eng._try_isolated_weight_transfer(0)
     assert eng.offset == 4
     assert not g.is_alive(0) and not g.is_alive(1)
     assert g.weight(2) == 2
@@ -208,7 +208,7 @@ def test_weight_transfer_example():
 def test_weight_transfer_lift_guard():
     g = WeightedGraph([4, 3, 6, 5], [(0, 1), (0, 2), (1, 2), (2, 3)])
     eng = ReductionEngine(g)
-    eng.isolated_weight_transfer(0)
+    eng._try_isolated_weight_transfer(0)
     # kernel = {2: w2, 3: w5}; picking 2 blocks v, picking 3 releases it
     assert lift_solution((2,), eng.records) == {2}
     assert lift_solution((3,), eng.records) == {0, 3}
@@ -217,7 +217,7 @@ def test_weight_transfer_lift_guard():
 def test_weight_transfer_degenerates_to_isolated_removal():
     g = clique_graph([5, 3, 2])
     eng = ReductionEngine(g)
-    assert eng.isolated_weight_transfer(0)
+    assert eng._try_isolated_weight_transfer(0)
     assert eng.offset == 5 and g.n_alive == 0
     assert lift_solution((), eng.records) == {0}
 
@@ -225,7 +225,7 @@ def test_weight_transfer_degenerates_to_isolated_removal():
 def test_weight_transfer_blocked_by_heavier_isolated_mate():
     g = clique_graph([4, 3, 6])
     eng = ReductionEngine(g)
-    assert not eng.isolated_weight_transfer(0)
+    assert not eng._try_isolated_weight_transfer(0)
 
 
 def test_weight_transfer_needs_a_removable_neighbor():
@@ -233,7 +233,7 @@ def test_weight_transfer_needs_a_removable_neighbor():
     # the transfer would delete no neighbor and must not fire
     g = WeightedGraph([2, 5, 6, 1, 1], [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)])
     eng = ReductionEngine(g)
-    assert not eng.isolated_weight_transfer(0)
+    assert not eng._try_isolated_weight_transfer(0)
     assert g.n_alive == 5
 
 
@@ -244,7 +244,7 @@ def test_weight_transfer_needs_a_removable_neighbor():
 def test_vertex_folding_path():
     g = path_graph([2, 3, 2])
     eng = ReductionEngine(g)
-    assert eng.weighted_vertex_folding(1)
+    assert eng._try_weighted_vertex_folding(1)
     assert eng.offset == 3
     (vid,) = g.alive_vertices()
     assert g.weight(vid) == 1
@@ -254,21 +254,21 @@ def test_vertex_folding_path():
 def test_vertex_folding_weight_condition_fails():
     g = path_graph([4, 3, 2])
     eng = ReductionEngine(g)
-    assert not eng.weighted_vertex_folding(1)
+    assert not eng._try_weighted_vertex_folding(1)
 
 
 def test_vertex_folding_cycle4():
     original = cycle_graph([2, 3, 2, 3])
     g = cycle_graph([2, 3, 2, 3])
     eng = ReductionEngine(g)
-    assert eng.weighted_vertex_folding(1)
+    assert eng._try_weighted_vertex_folding(1)
     check_alpha_preserved(original, eng)
 
 
 def test_vertex_folding_lift():
     g = path_graph([2, 3, 2])
     eng = ReductionEngine(g)
-    eng.weighted_vertex_folding(1)
+    eng._try_weighted_vertex_folding(1)
     (vid,) = g.alive_vertices()
     assert lift_solution((vid,), eng.records) == {0, 2}
     assert lift_solution((), eng.records) == {1}
@@ -281,7 +281,7 @@ def test_vertex_folding_lift():
 def test_twin_include_case():
     g = structured_family()["twin_include"]
     eng = ReductionEngine(g)
-    assert eng.weighted_twin(0)
+    assert eng._try_weighted_twin(0)
     assert eng.offset == 10 and g.n_alive == 0
     assert lift_solution((), eng.records) == {0, 1}
 
@@ -290,7 +290,7 @@ def test_twin_fold_case():
     original = structured_family()["twin_fold"]
     g = structured_family()["twin_fold"]
     eng = ReductionEngine(g)
-    assert eng.weighted_twin(0)
+    assert eng._try_weighted_twin(0)
     assert eng.offset == 7
     vid = max(g.alive_vertices())
     assert g.weight(vid) == 2
@@ -303,14 +303,14 @@ def test_twin_neither_case():
     g = WeightedGraph([2, 2, 3, 3, 3],
                       [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
     eng = ReductionEngine(g)
-    assert not eng.weighted_twin(0)
+    assert not eng._try_weighted_twin(0)
 
 
 def test_twin_requires_independent_neighborhood():
     g = WeightedGraph([5, 5, 3, 3, 3],
                       [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)])
     eng = ReductionEngine(g)
-    assert not eng.weighted_twin(0)
+    assert not eng._try_weighted_twin(0)
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,8 @@ import time
 import pytest
 
 import mwis.solver
-from helpers import (clique_graph, cubic_graph, deadline_clock, gnm_graph, path_graph,
-                     random_graph, star_graph, structured_family)
+from helpers import (clique_graph, cubic_graph, deadline_clock, exact_lp, gnm_graph,
+                     path_graph, random_graph, star_graph, structured_family)
 from mwis import (CertificateError, ReductionEngine, SolverConfig, WeightedGraph,
                   brute_force_mwis, greedy_complete, select_branch_vertex,
                   solve)
@@ -129,7 +129,7 @@ def test_pruning_toggle_preserves_weight(monkeypatch):
     graphs = [random_graph(seed, 26, 0.4) for seed in (1, 5, 9)]
     on = [solve(g) for g in graphs]
     monkeypatch.setattr(mwis.solver, "clique_cover_bound", lambda g, deadline=None: math.inf)
-    monkeypatch.setattr(ReductionEngine, "lp_bound", lambda eng, deadline, slack=None: math.inf)
+    monkeypatch.setattr(ReductionEngine, "lp_prunes", lambda eng, slack, deadline=None: False)
     off = [solve(g) for g in graphs]
     for a, b in zip(on, off):
         assert a.solution.weight == b.solution.weight
@@ -139,7 +139,7 @@ def test_pruning_toggle_preserves_weight(monkeypatch):
 
 # Bounds that never prune.
 BOUND_OFF = {"clique_cover_bound": lambda g, deadline=None: math.inf,
-             "lp_bound": lambda eng, deadline, slack=None: math.inf}
+             "lp_prunes": lambda eng, slack, deadline=None: False}
 
 
 @pytest.mark.parametrize("variant", ["full", "dense"])
@@ -147,7 +147,7 @@ BOUND_OFF = {"clique_cover_bound": lambda g, deadline=None: math.inf,
 def test_either_bound_alone_prunes(monkeypatch, variant, off):
     g = random_graph(1, 40, 0.3)
     both = solve(g, SolverConfig(variant=variant))
-    monkeypatch.setattr(ReductionEngine if off == "lp_bound" else mwis.solver, off, BOUND_OFF[off])
+    monkeypatch.setattr(ReductionEngine if off == "lp_prunes" else mwis.solver, off, BOUND_OFF[off])
     r = solve(g, SolverConfig(variant=variant))
     assert r.solution.optimal and r.solution.weight == both.solution.weight
     assert r.stats.prunes > 0 and r.stats.nodes >= both.stats.nodes
@@ -165,9 +165,8 @@ def test_lp_prune_test_searches_like_the_exact_lp(monkeypatch, variant):
     graphs = [random_graph(seed, 40, 0.2) for seed in (0, 2, 3, 5)]
     decided = [solve(g, SolverConfig(variant=variant)) for g in graphs]
     assert all(a.stats.prunes for a in decided)
-    exact_lp = ReductionEngine.lp_bound
-    monkeypatch.setattr(ReductionEngine, "lp_bound",
-                        lambda eng, deadline, slack=None: exact_lp(eng, deadline))
+    monkeypatch.setattr(ReductionEngine, "lp_prunes",
+                        lambda eng, slack, deadline=None: exact_lp(eng.g) <= slack)
     for g, a in zip(graphs, decided):
         b = solve(g, SolverConfig(variant=variant))
         assert (a.stats.nodes, a.stats.prunes) == (b.stats.nodes, b.stats.prunes)
@@ -187,9 +186,9 @@ def test_lp_flows_counts_the_bound_flows(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(ReductionEngine, "lp_bound", counted("bound", ReductionEngine.lp_bound))
-    monkeypatch.setattr(mwis.reductions, "critical_value",
-                        counted("flow", mwis.reductions.critical_value))
+    monkeypatch.setattr(ReductionEngine, "lp_prunes", counted("bound", ReductionEngine.lp_prunes))
+    monkeypatch.setattr(mwis.reductions, "critical_value_at_most",
+                        counted("flow", mwis.reductions.critical_value_at_most))
     dense = solve(g, SolverConfig(variant="dense"))
     assert dense.stats.lp_flows == calls["flow"] > 0  # dense runs no critical rule
     assert dense.stats.lp_flows < calls["bound"] < dense.stats.nodes  # the skip fired
