@@ -228,6 +228,49 @@ SMALL_SIDECAR = (
     "offset=177\n")
 
 
+# One record of each rule that forces a set into the solution or folds: the
+# graph, the rule's one application, and the record line the sidecar writes.
+RULE_RECORDS = {
+    # 1 is simplicial and the heaviest of its triangle {0, 1, 2}
+    "isolated_vertex_removal": (
+        [2, 5, 3, 4], [(0, 1), (0, 2), (1, 2), (2, 3)],
+        lambda eng: eng._try_isolated_vertex_removal(1),
+        "rec include isolated_vertex_removal forced=2 consumed=1,3,2 offset=5"),
+    # twins 3, 4 outweigh their independent neighborhood {0, 1, 2}
+    "twin_include": (
+        [3, 3, 3, 5, 5], [(t, p) for t in (3, 4) for p in (0, 1, 2)],
+        lambda eng: eng._try_weighted_twin(4),
+        "rec include weighted_twin forced=4,5 consumed=4,5,1,2,3 offset=10"),
+    # twins 3, 4 outweigh any two of {0, 1, 2} but not all three
+    "twin_fold": (
+        [2, 2, 3, 3, 3], [(t, p) for t in (3, 4) for p in (0, 1, 2)],
+        lambda eng: eng._try_weighted_twin(3),
+        "rec fold weighted_twin introduced=6 in=1,2,3 out=4,5 consumed=4,5,1,2,3 offset=6"),
+    # degree-2 vertex 2 between the non-adjacent 0 and 1
+    "weighted_vertex_folding": (
+        [3, 2, 4], [(0, 2), (1, 2)],
+        lambda eng: eng._try_weighted_vertex_folding(2),
+        "rec fold weighted_vertex_folding introduced=4 in=1,2 out=3 consumed=3,1,2 offset=4"),
+    # the path 5 - 1 - 5: its two ends are the critical set
+    "cwis": (
+        [5, 1, 5], [(0, 1), (1, 2)],
+        lambda eng: eng.cwis_reduction(),
+        "rec include cwis forced=1,3 consumed=1,2,3 offset=10"),
+}
+
+
+@pytest.mark.parametrize("rule", RULE_RECORDS)
+def test_each_rule_writes_its_sidecar_record(rule):
+    weights, edges, apply, line = RULE_RECORDS[rule]
+    eng = ReductionEngine(WeightedGraph(weights, edges))
+    assert apply(eng)
+    buf = io.StringIO()
+    graph_io.write_lifting(eng.offset, [], eng.records, buf)
+    assert buf.getvalue() == f"offset {eng.offset}\n{line}\n"
+    buf.seek(0)
+    assert graph_io.read_lifting(buf) == (eng.offset, [], tuple(eng.records))
+
+
 def test_documented_output_bytes(tmp_path, capsys):
     transfer = structured_family()["transfer"]  # clique {0,1,2}, 2 wired to 3
     g = WeightedGraph([transfer.weight(v) for v in range(4)] + [2, 3, 2],
