@@ -18,7 +18,7 @@ The lifting sidecar written next to an exported kernel carries the weight
 offset, the id map and the fold record stack in replay order, enough to lift
 a kernel solution in a separate process.  ``_RECORD_FIELDS`` gives each
 record kind's fields to the writer and to the reader, which rejects any line
-that the writer does not write.
+that the writer does not write, down to the spelling of each number.
 """
 
 from __future__ import annotations
@@ -222,11 +222,9 @@ def write_convergence(entries: Sequence[tuple[float, int]], fh: TextIO) -> None:
 # each fills: ``offset`` is an integer, ``introduced`` the only single id, and
 # every other field an id list.
 _RECORD_FIELDS = {
-    "include": {"forced": "forced", "consumed": "consumed", "offset": "offset"},
-    "fold": {"introduced": "introduced", "in": "fold_in", "out": "fold_out",
-             "consumed": "consumed", "offset": "offset"},
-    "transfer": {"forced": "forced", "guard": "guard", "consumed": "consumed",
-                 "offset": "offset"},
+    "include": {"forced": "out", "offset": "offset"},
+    "fold": {"introduced": "introduced", "in": "fold_in", "out": "out", "offset": "offset"},
+    "transfer": {"forced": "out", "guard": "guard", "offset": "offset"},
 }
 
 
@@ -238,12 +236,22 @@ def _format_field(attr: str, value) -> str:
     return ",".join(str(v + 1) for v in value) or "-"
 
 
+def _number(text: str, least: int) -> int:
+    """``text`` as an integer at least ``least``, if ``str`` writes that
+    integer as ``text``: no sign, ``_``, space or leading zero."""
+    value = int(text)
+    if str(value) != text or value < least:
+        raise ValueError(text)
+    return value
+
+
 def _parse_field(attr: str, text: str):
+    """Reads what ``_format_field`` writes: offsets from 0, ids from 1."""
     if attr == "offset":
-        return int(text)
+        return _number(text, 0)
     if attr == "introduced":
-        return int(text) - 1
-    return () if text == "-" else tuple(int(tok) - 1 for tok in text.split(","))
+        return _number(text, 1) - 1
+    return () if text == "-" else tuple(_number(tok, 1) - 1 for tok in text.split(","))
 
 
 def write_lifting(offset: int, kernel_map: Sequence[int],
@@ -274,9 +282,9 @@ def read_lifting(fh: TextIO) -> tuple[int, list[int], tuple[FoldRecord, ...]]:
                 if offset is not None:
                     raise ParseError("second offset line", lineno)
                 (text,) = parts[1:]
-                offset = int(text)
+                offset = _number(text, 0)
             elif parts[0] == "map":
-                kid, orig = (int(tok) - 1 for tok in parts[1:])
+                kid, orig = (_number(tok, 1) - 1 for tok in parts[1:])
                 if kid != len(kernel_map):
                     raise ParseError("map lines out of order", lineno)
                 kernel_map.append(orig)
@@ -286,13 +294,16 @@ def read_lifting(fh: TextIO) -> tuple[int, list[int], tuple[FoldRecord, ...]]:
                     raise ParseError(f"unknown record kind {kind!r}", lineno)
                 fields = _RECORD_FIELDS[kind]
                 given = dict(kv.split("=", 1) for kv in parts[3:])
+                if len(given) < len(parts) - 3:
+                    raise ParseError("a record field is given twice", lineno)
+                rec = FoldRecord(rule=rule, **{
+                    attr: _parse_field(attr, given[name]) for name, attr in fields.items()})
                 unknown = given.keys() - fields.keys()
                 if unknown:
                     raise ParseError(f"{kind} record has no field {min(unknown)!r}", lineno)
-                if len(given) < len(parts) - 3:
-                    raise ParseError("a record field is given twice", lineno)
-                records.append(FoldRecord(rule=rule, **{
-                    attr: _parse_field(attr, given[name]) for name, attr in fields.items()}))
+                if kind == "transfer" and not rec.guard:  # written as an include
+                    raise ParseError("a transfer record needs a guard", lineno)
+                records.append(rec)
             else:
                 raise ParseError(f"unknown sidecar line {parts[0]!r}", lineno)
         except ParseError:

@@ -5,7 +5,10 @@ independent set reconstructible: the engine accumulates a weight ``offset``
 and a stack of :class:`FoldRecord` entries whose replay (:func:`lift_solution`)
 turns any independent set of the reduced graph into one of the original graph
 with weight increased by exactly the offset.  Applying the rules to a
-fixpoint yields the kernel.
+fixpoint yields the kernel.  A rule that forces a set into the solution calls
+``ReductionEngine.include``, and one that merges vertices into a fresh one
+calls ``ReductionEngine.fold``; each edits the graph and pushes its own
+record.  Only the weight transfer builds its record by hand.
 
 Scheduling follows the incremental discipline: each local rule is one
 engine method, ``_try_<rule>(v)``, and keeps a min-heap of vertices whose
@@ -30,13 +33,23 @@ transfer, degree 3 for the twin rule, and degree 1 to ``MAX_META_SIZE`` with
 ``s(v) > w(v)`` for neighborhood folding.  The screens are exact: every
 change to the members, weights or induced edges of ``N[v]`` touches ``v``
 again, so a vertex kept out could only have been popped to fail, and the
-rules fire in the same order as without them.  Domination and the meta rule
-read the neighborhoods of ``v``'s neighbors, which can change without a
-touch of ``v``, so they have no screen; an inexact one would reorder the
-edits.  Their ``_try_`` methods test each edge's pairs in one pass over the
-graph's plain lists, and the meta rule's refutes most pairs before building
-the local subproblem.  The tests keep an unscreened engine as the reference
-of the screens.
+rules fire in the same order as without them.  The tests keep an unscreened
+engine as the reference of the screens.
+
+Three rules also read past ``N[v]``: domination and the meta rule the
+neighborhoods (the meta rule also the weights) of ``v``'s neighbors, the
+twin rule those of ``v``'s first neighbor and of the twins found there.  So
+each touched vertex is also noted for them, and before such a rule's next
+pop ``_FAR_CHECKS`` names the untouched vertices nearby whose check the
+change may have made fire.  One named at or below the largest vertex the
+running drain has popped waits for the rule's next drain, as a scan checks
+each vertex once per drain.  The weight
+transfer also reads the neighborhoods of ``v``'s heavier neighbors, but a
+heavier clique mate ``u`` of a simplicial ``v`` stops being simplicial only
+by a fold at a neighbor of ``u``, which the clique makes a neighbor of ``v``,
+so that fold touches ``v``.  Domination and the meta rule test each edge's
+pairs in one pass over the graph's plain lists, and the meta rule's refutes
+most pairs before building the local subproblem.
 
 Rule order (cheap local rules first, the global flow-based rule last):
 
@@ -154,28 +167,105 @@ def _covers(big: Sequence[int], small: Sequence[int], skip: int) -> bool:
     return True
 
 
+def _meta_unrefuted(a: int, b: int, w: list[int], adj: list[list[int]]) -> bool:
+    """False when the meta rule cannot remove ``b`` for ``a``: ``w(a) <
+    w(b)``, or some vertex of ``N(a) - N[b]`` outweighs the slack ``w(a) -
+    w(b)``, found without building that set."""
+    slack = w[a] - w[b]
+    if slack < 0:
+        return False
+    nb = adj[b]
+    for x in adj[a]:
+        if w[x] > slack and x != b:
+            i = bisect_left(nb, x)
+            if i == len(nb) or nb[i] != x:
+                return False
+    return True
+
+
+# The checks of three rules read past ``N[v]``.  For each, keyed by its
+# index in ``LOCAL_RULES``: a function of the vertices ``touched`` since the
+# rule last looked and of the graph's weights and neighbor lists, that names
+# (maybe twice) every untouched vertex whose check of the rule a change at a
+# touched ``u`` may have made fire.  A dead ``u`` has no neighbors, so names
+# nothing.  Domination and the meta rule name only neighbors ``x < u``: for
+# ``x > u`` the touched ``u`` is popped first, and its own check tests the
+# pair, so by the time ``x`` is popped the pair cannot fire unless ``x`` or
+# ``u`` was touched again.
+
+
+def _dominated_pairs(touched: set[int], w: list[int], adj: list[list[int]]) -> list[int]:
+    # When x was not touched, N[x], w(x) and w(u) stand, and N[u] only lost
+    # vertices outside N[x] (a fold also gives u the fresh vertex, outside
+    # N[x] too), so of the pair's two ways only x going, N[u] inside N[x],
+    # can have become true.
+    out = []
+    for u in touched:
+        nu = adj[u]
+        wu, du = w[u], len(nu)
+        for x in nu:
+            if x > u:
+                break
+            nx = adj[x]
+            if w[x] <= wu and len(nx) >= du and _covers(nx, nu, skip=x):
+                out.append(x)
+    return out
+
+
+def _twin_askers(touched: set[int], w: list[int], adj: list[list[int]]) -> list[int]:
+    # The twins of u, and the degree-3 vertices whose first neighbor is u
+    # and that have a twin among its neighbors: the first of their twins
+    # may have gone, leaving another one first.
+    out = []
+    for u in touched:
+        nu = adj[u]
+        if len(nu) == 3:
+            out += [t for t in adj[nu[0]] if t != u and adj[t] == nu]
+        for x in nu:
+            ax = adj[x]
+            if len(ax) == 3 and ax[0] == u:
+                for t in nu:
+                    if t != x and adj[t] == ax:
+                        out.append(x)
+                        break
+    return out
+
+
+def _meta_pairs(touched: set[int], w: list[int], adj: list[list[int]]) -> list[int]:
+    # When x was not touched, the local set N(x) - N[u] of removing u for x
+    # stands (what u lost or gained lies outside N(x)); only N(u) - N[x], of
+    # removing x for u, changed.
+    out = []
+    for u in touched:
+        wu = w[u]
+        for x in adj[u]:
+            if x > u:
+                break
+            if w[x] <= wu and _meta_unrefuted(u, x, w, adj):
+                out.append(x)
+    return out
+
+
+_FAR_CHECKS = {1: _dominated_pairs, 5: _twin_askers, 7: _meta_pairs}
+
+
 @dataclass(frozen=True)
 class FoldRecord:
-    """One reversible reduction step.
+    """One reversible reduction step, replayed over a kernel solution ``I``
+    by one rule: if the ``introduced`` vertex is in ``I``, it is swapped for
+    ``fold_in``; otherwise, if ``I`` meets no ``guard`` vertex, ``out`` joins.
+    Either way the solution weight rises by exactly ``offset``.
 
-    Replayed back-to-front over a kernel solution ``I``:
-
-    * ``introduced`` set: a fold.  If the introduced vertex is in ``I`` it is
-      swapped for ``fold_in``, otherwise ``fold_out`` joins.
-    * ``guard`` set: a weight transfer.  ``forced`` joins only when ``I``
-      avoids every guard vertex.
-    * otherwise: ``forced`` joins unconditionally.
-
-    Each replay raises the solution weight by exactly ``offset``.
+    An include (``ReductionEngine.include``) sets only ``out``, a fold
+    (``ReductionEngine.fold``) also ``introduced`` and ``fold_in``, and the
+    weight transfer also ``guard``, the heavier clique mates it lightened.
     """
 
     rule: str
-    consumed: tuple[int, ...]
     offset: int
+    out: tuple[int, ...]
     introduced: int | None = None
     fold_in: tuple[int, ...] = ()
-    fold_out: tuple[int, ...] = ()
-    forced: tuple[int, ...] = ()
     guard: tuple[int, ...] = ()
 
 
@@ -187,17 +277,11 @@ def lift_solution(kernel_vertices: Iterable[int],
     """
     chosen = set(kernel_vertices)
     for rec in reversed(stack):
-        if rec.introduced is not None:
-            if rec.introduced in chosen:
-                chosen.discard(rec.introduced)
-                chosen.update(rec.fold_in)
-            else:
-                chosen.update(rec.fold_out)
-        elif rec.guard:
-            if chosen.isdisjoint(rec.guard):
-                chosen.update(rec.forced)
-        else:
-            chosen.update(rec.forced)
+        if rec.introduced in chosen:
+            chosen.discard(rec.introduced)
+            chosen.update(rec.fold_in)
+        elif chosen.isdisjoint(rec.guard):
+            chosen.update(rec.out)
     return chosen
 
 
@@ -244,6 +328,9 @@ class ReductionEngine:
         self.stats: Counter = Counter() if stats is None else stats
         self._queues = [([], set()) for _ in LOCAL_RULES]
         self._filled = self._queues  # the queues ``touch`` fills
+        # per rule of _FAR_CHECKS, the touched vertices not yet looked around
+        self._far: dict[int, set[int]] = {i: set() for i in _FAR_CHECKS}
+        self._far_filled = list(self._far.values())  # the sets ``_touched`` fills
         self._cwis_flow: list[tuple[int, int, int]] = []
         self._cwis_idle_mark = -1
         self.lp_flows = 0
@@ -268,37 +355,47 @@ class ReductionEngine:
                 members.add(v)
                 heapq.heappush(heap, v)
 
+    def _touched(self, verts: Sequence[int]) -> None:
+        """Queue ``verts``, whose closed neighborhoods an edit changed, and
+        note them for the rules that read past a vertex's own."""
+        for v in verts:
+            self.touch(v)
+        for far in self._far_filled:
+            far.update(verts)
+
     def remove_vertex(self, v: int) -> None:
         nbrs = list(self.g.neighbors(v))
         self.g.remove_vertex(v)
-        for u in nbrs:
-            self.touch(u)
+        self._touched(nbrs)
 
     def set_weight(self, v: int, w: int) -> None:
         self.g.set_weight(v, w)
-        self.touch(v)
-        for u in self.g.neighbors(v):
-            self.touch(u)
+        self._touched([v, *self.g.neighbors(v)])
 
-    def fold(self, consumed: Sequence[int], new_weight: int) -> int:
-        """Replace ``consumed`` by one fresh vertex wired to their fringe."""
-        fringe = self._fringe(consumed)
-        vid = self.g.fold_into_new_vertex(consumed, new_weight, fringe)
-        self.touch(vid)
-        for u in fringe:
-            self.touch(u)
-        return vid
-
-    def include_vertex(self, v: int, rule: str = "branch") -> None:
-        """Force ``v`` into the solution: record it and delete its closed
-        neighborhood."""
-        nbrs = sorted(self.g.neighbors(v))
-        w = self.g.weight(v)
-        self._push_record(FoldRecord(
-            rule=rule, consumed=tuple(nbrs) + (v,), offset=w, forced=(v,)))
-        for u in nbrs:
+    def include(self, chosen: Sequence[int], rule: str = "branch") -> None:
+        """Force the independent set ``chosen`` into the solution: record it,
+        then delete ``N(chosen)`` in ascending order, then ``chosen``."""
+        chosen = tuple(chosen)
+        nbhd = self._fringe(chosen)
+        self._push_record(FoldRecord(rule, sum(self.g.weight(x) for x in chosen), chosen))
+        for u in nbhd:
             self.remove_vertex(u)
-        self.remove_vertex(v)
+        for x in chosen:
+            self.remove_vertex(x)
+
+    def fold(self, fold_in: Sequence[int], out: Sequence[int], rule: str) -> None:
+        """Replace ``fold_in`` and ``out`` by one fresh vertex of weight
+        ``w(fold_in) - w(out)``, wired to their fringe, and record the fold:
+        a lift takes ``fold_in`` for the fresh vertex and ``out`` without
+        it, so the offset is ``w(out)``."""
+        g = self.g
+        fold_in, out = tuple(fold_in), tuple(out)
+        w_out = sum(g.weight(x) for x in out)
+        fringe = self._fringe(fold_in + out)
+        vid = g.fold_into_new_vertex(fold_in + out, sum(g.weight(x) for x in fold_in) - w_out,
+                                     fringe)
+        self._touched([vid, *fringe])
+        self._push_record(FoldRecord(rule, w_out, out, vid, fold_in))
 
     def exclude_vertex(self, v: int) -> None:
         """Remove ``v`` knowing some optimal solution avoids it."""
@@ -324,6 +421,8 @@ class ReductionEngine:
         for heap, members in self._queues:
             heap.clear()
             members.clear()
+        for far in self._far_filled:
+            far.clear()
 
     # ------------------------------------------------------------------
     # The scheduler
@@ -343,9 +442,13 @@ class ReductionEngine:
         dense = self.variant == "dense"
         k = _DENSE_BRANCH_RULES if dense and not initial else len(LOCAL_RULES)
         self._filled = self._queues[:k]
+        self._far_filled = [far for i, far in self._far.items() if i < k]
         for heap, members in self._queues[k:]:
             heap.clear()
             members.clear()
+        for i, far in self._far.items():
+            if i >= k:
+                far.clear()
         end = k if dense else k + 1
         i = 0
         while i < end:
@@ -359,11 +462,20 @@ class ReductionEngine:
         # Looked up on every drain, not cached: a wrapper installed on the
         # class (tracing counts rule calls this way) must take effect.
         apply_at = getattr(self, "_try_" + rule)
+        far = self._far.get(i)
+        later: list[int] = []  # for the next drain: popped here, asked again
+        top = -1  # the largest vertex popped so far
         changed = False
         ticks = 0
-        while heap:
+        while True:
+            if far:
+                self._queue_far(i, top, later)
+            if not heap:
+                break
             v = heapq.heappop(heap)
             members.discard(v)
+            if v > top:
+                top = v
             if not self.g.is_alive(v):
                 continue
             if apply_at(v):
@@ -372,7 +484,26 @@ class ReductionEngine:
             ticks += 1
             if ticks % 64 == 0:
                 check_deadline(deadline)
+        for v in later:
+            if v not in members:
+                members.add(v)
+                heapq.heappush(heap, v)
         return changed
+
+    def _queue_far(self, i: int, top: int, later: list[int]) -> None:
+        """Queue for rule ``i`` what ``_FAR_CHECKS[i]`` names, those up to
+        ``top`` into ``later``."""
+        heap, members = self._queues[i]
+        far = self._far[i]
+        w, adj, _ = self.g.plain_lists()
+        for x in _FAR_CHECKS[i](far, w, adj):
+            if x not in members:
+                if x > top:
+                    members.add(x)
+                    heapq.heappush(heap, x)
+                else:
+                    later.append(x)
+        far.clear()
 
     # ------------------------------------------------------------------
     # Small structural helpers
@@ -407,7 +538,7 @@ class ReductionEngine:
         """Force ``v`` in when it outweighs its whole neighborhood."""
         g = self.g
         if g.weight(v) >= g.neighbor_weight(v):
-            self.include_vertex(v, rule="neighborhood_removal")
+            self.include((v,), "neighborhood_removal")
             return True
         return False
 
@@ -439,10 +570,7 @@ class ReductionEngine:
         wv, wu, wx = g.weight(v), g.weight(u), g.weight(x)
         if not (wv < wu + wx and wv >= max(wu, wx)):
             return False
-        vid = self.fold((v, u, x), wu + wx - wv)
-        self._push_record(FoldRecord(
-            rule="weighted_vertex_folding", consumed=(v, u, x), offset=wv,
-            introduced=vid, fold_in=(u, x), fold_out=(v,)))
+        self.fold((u, x), (v,), "weighted_vertex_folding")
         return True
 
     def _try_isolated_vertex_removal(self, v: int) -> bool:
@@ -456,7 +584,7 @@ class ReductionEngine:
             return False
         if not self._is_clique(nbrs):
             return False
-        self.include_vertex(v, rule="isolated_vertex_removal")
+        self.include((v,), "isolated_vertex_removal")
         return True
 
     def _try_isolated_weight_transfer(self, v: int) -> bool:
@@ -481,9 +609,7 @@ class ReductionEngine:
             if g.weight(u) > wv and self._is_clique(g.neighbors(u)):
                 return False  # a heavier simplicial clique mate forbids the transfer
         keep = tuple(u for u in nbrs if g.weight(u) > wv)
-        self._push_record(FoldRecord(
-            rule="isolated_weight_transfer", consumed=tuple(removed) + (v,),
-            offset=wv, forced=(v,), guard=keep))
+        self._push_record(FoldRecord("isolated_weight_transfer", wv, (v,), guard=keep))
         for u in removed:
             self.remove_vertex(u)
         self.remove_vertex(v)
@@ -507,22 +633,13 @@ class ReductionEngine:
         if not self._is_independent(nbrs):
             return False
         pair = (min(twin, v), max(twin, v))
-        p, q, r = nbrs
         w_twins = g.weight(twin) + g.weight(v)
-        w_nbrs = g.weight(p) + g.weight(q) + g.weight(r)
+        w_nbrs = sum(g.weight(x) for x in nbrs)
         if w_twins >= w_nbrs:
-            self._push_record(FoldRecord(
-                rule="weighted_twin", consumed=pair + (p, q, r),
-                offset=w_twins, forced=pair))
-            for x in (p, q, r, *pair):
-                self.remove_vertex(x)
+            self.include(pair, "weighted_twin")
             return True
-        if w_twins > w_nbrs - min(g.weight(p), g.weight(q), g.weight(r)):
-            group = pair + (p, q, r)
-            vid = self.fold(group, w_nbrs - w_twins)
-            self._push_record(FoldRecord(
-                rule="weighted_twin", consumed=group, offset=w_twins,
-                introduced=vid, fold_in=(p, q, r), fold_out=pair))
+        if w_twins > w_nbrs - min(g.weight(x) for x in nbrs):
+            self.fold(nbrs, pair, "weighted_twin")
             return True
         return False
 
@@ -539,34 +656,20 @@ class ReductionEngine:
             return False
         if not self._is_independent(nbrs):
             return False
-        group = (v, *nbrs)
-        vid = self.fold(group, w_nb - wv)
-        self._push_record(FoldRecord(
-            rule="neighborhood_folding", consumed=group, offset=wv,
-            introduced=vid, fold_in=tuple(nbrs), fold_out=(v,)))
+        self.fold(nbrs, (v,), "neighborhood_folding")
         return True
 
     def _try_neighbor_removal_meta(self, v: int) -> bool:
-        # Each edge (u, v) is tried both ways, ``v`` keeping first.  A pair
-        # is refuted at the first vertex of the local set ``N(a) - N[b]``
-        # heavier than the slack, found without building that set; only the
-        # pairs left go to ``neighbor_removal_meta``, which edits the graph
-        # only when it returns True, so the loop over ``adj[v]`` ends there.
+        # Each edge (u, v) is tried both ways, ``v`` keeping first.  Only the
+        # pairs ``_meta_unrefuted`` leaves go to ``neighbor_removal_meta``,
+        # which edits the graph only when it returns True, so the loop over
+        # ``adj[v]`` ends there.
         w, adj, _ = self.g.plain_lists()
         for u in adj[v]:
             for a, b in ((v, u), (u, v)):
-                slack = w[a] - w[b]
-                if slack < 0:
-                    continue
-                nb = adj[b]
-                for x in adj[a]:
-                    if w[x] > slack and x != b:
-                        i = bisect_left(nb, x)
-                        if i == len(nb) or nb[i] != x:
-                            break
-                else:
-                    if self.neighbor_removal_meta(a, b):
-                        return True
+                if (w[a] >= w[b] and _meta_unrefuted(a, b, w, adj)
+                        and self.neighbor_removal_meta(a, b)):
+                    return True
         return False
 
     def neighbor_removal_meta(self, v: int, u: int) -> bool:
@@ -613,15 +716,8 @@ class ReductionEngine:
         if value == 0:
             self._cwis_idle_mark = g.checkpoint()
             return False
-        nbhd = self._fringe(chosen)  # chosen is independent, so this is N(chosen)
         self.stats[CRITICAL_RULE] += 1
-        self._push_record(FoldRecord(
-            rule="cwis", consumed=tuple(sorted(chosen + nbhd)),
-            offset=sum(g.weight(x) for x in chosen), forced=tuple(chosen)))
-        for x in nbhd:
-            self.remove_vertex(x)
-        for x in chosen:
-            self.remove_vertex(x)
+        self.include(chosen, "cwis")
         self._cwis_idle_mark = g.checkpoint()
         return True
 

@@ -214,7 +214,7 @@ class _Machine:
             else:
                 v = select_branch_vertex(g)
                 branch = eng.checkpoint()
-                eng.include_vertex(v)
+                eng.include((v,))
                 yield ctx, False
                 eng.rollback(branch)
                 eng.exclude_vertex(v)

@@ -180,7 +180,7 @@ def test_lp_prune_test_through_edits_and_rollbacks(case, variant, data):
             if op == "cut":
                 eng.set_weight(v, (g.weight(v) + 1) // 2)
             else:
-                (eng.include_vertex if op == "include" else eng.exclude_vertex)(v)
+                eng.include((v,)) if op == "include" else eng.exclude_vertex(v)
         elif op == "reduce":
             eng.reduce(initial=data.draw(st.booleans()))
         elif op == "checkpoint":

@@ -17,8 +17,8 @@ import ls_reference
 import mwis.solver
 from helpers import (ScanEngine, UnscreenedEngine, copy_graph, cubic_graph,
                      gnm_graph, small_graphs)
-from mwis import (LsState, ReductionEngine, SolverConfig, WeightedGraph,
-                  brute_force_mwis, critical, critical_weighted_set,
+from mwis import (FoldRecord, LsState, ReductionEngine, SolverConfig,
+                  WeightedGraph, brute_force_mwis, critical, critical_weighted_set,
                   reduce_to_kernel, reductions, solve)
 from mwis.critical import critical_value_at_most
 from mwis.solution import verify_independent_set
@@ -39,6 +39,90 @@ def test_variants_and_modes_agree(g):
         assert queue.canonical_serialization() == scan.canonical_serialization()
         assert eq.offset == es.offset
         assert eq.records == es.records
+
+
+class _EditOrder:
+    """Keeps the engine's tracked edits, in order, in ``edits``."""
+
+    def __init__(self, graph, variant="full"):
+        self.edits = []
+        super().__init__(graph, variant=variant)
+
+    def remove_vertex(self, v):
+        self.edits.append(("remove", v))
+        super().remove_vertex(v)
+
+    def set_weight(self, v, w):
+        self.edits.append(("weight", v, w))
+        super().set_weight(v, w)
+
+    def fold(self, fold_in, out, rule):
+        self.edits.append(("fold", tuple(fold_in), tuple(out)))
+        super().fold(fold_in, out, rule)
+
+
+class OrderedEngine(_EditOrder, ReductionEngine):
+    pass
+
+
+class OrderedScan(_EditOrder, ScanEngine):
+    pass
+
+
+# An edit that changes the neighborhood of u can make the check of a rule
+# that reads past N[x] fire at an untouched neighbor x; the scan pops x in
+# its turn, so the engine must queue it too.
+RECHECK_CASES = {
+    # The fold of 7 (with 0 and 4) gives 6 a fresh neighbor without
+    # touching 2; the scan pops 2 and the meta rule removes it for 6, while
+    # the touched 5 would remove 9 first.
+    "meta": ([2, 6, 3, 3, 4, 5, 6, 5, 1, 1],
+             [(0, 5), (0, 7), (1, 2), (1, 3), (1, 4), (1, 6), (1, 8), (2, 5), (2, 6),
+              (2, 8), (2, 9), (3, 5), (4, 6), (4, 7), (5, 9), (6, 8), (6, 9), (7, 8)]),
+    # Removing the fold vertex 9 shrinks N[7] into N[6] without touching 6;
+    # the scan pops 6 and domination removes it, while the check at the
+    # touched 7 would remove 0 first.
+    "domination": ([1, 1, 1, 3, 1, 3, 2, 2, 1],
+                   [(0, 6), (0, 7), (1, 2), (1, 5), (1, 7), (2, 4), (3, 4), (3, 5),
+                    (6, 7), (6, 8)]),
+    # Removing the fold vertex 9 leaves 1 with the neighborhood {0, 2, 5} of
+    # 3 and 7.  The check at the touched 1 meets its twin 3 first, too
+    # light; the scan also pops 7, whose first twin is 1, and includes both.
+    "twin": ([1, 6, 5, 1, 2, 2, 2, 2, 1],
+             [(0, 1), (0, 3), (0, 7), (1, 2), (1, 4), (1, 5), (2, 3), (2, 7), (2, 8),
+              (3, 5), (4, 6), (5, 7), (6, 8)]),
+}
+
+
+@pytest.mark.parametrize("variant", ["full", "dense"])
+@pytest.mark.parametrize("case", sorted(RECHECK_CASES))
+def test_engine_rechecks_the_untouched_neighbors_the_scan_would(case, variant):
+    weights, edges = RECHECK_CASES[case]
+    eq = OrderedEngine(WeightedGraph(weights, edges), variant=variant)
+    es = OrderedScan(WeightedGraph(weights, edges), variant=variant)
+    eq.reduce(initial=True)
+    es.reduce(initial=True)
+    assert eq.edits == es.edits
+    assert eq.records == es.records
+
+
+def test_engine_rechecks_twins_whose_first_twin_went():
+    # Twins 3, 4 and 5 over the independent {0, 1, 2}: 4 and 5 each meet 3
+    # first, too light to fire.  Once a branch excludes 3, the pair 4, 5
+    # outweighs the neighborhood, though only 0, 1 and 2 were touched.
+    weights = [3, 3, 3, 1, 4, 5]
+    edges = [(a, t) for a in (0, 1, 2) for t in (3, 4, 5)]
+    engines = []
+    for cls in (OrderedEngine, OrderedScan):
+        eng = cls(WeightedGraph(weights, edges), variant="dense")
+        eng.reduce(initial=True)
+        assert eng.edits == []
+        eng.exclude_vertex(3)
+        eng.reduce()
+        engines.append(eng)
+    eq, es = engines
+    assert eq.edits == es.edits
+    assert eq.records == es.records == [FoldRecord("weighted_twin", 9, (4, 5))]
 
 
 @settings(max_examples=300, deadline=None)
@@ -209,7 +293,7 @@ def test_flow_matches_reference_on_large_graphs():
                        "cwis", "rollback", "cwis", "include", "cwis"):
                 v = rng.choice(sorted(g.alive_vertices()))
                 if op == "include":
-                    eng.include_vertex(v)
+                    eng.include((v,))
                 elif op == "exclude":
                     eng.exclude_vertex(v)
                 elif op == "checkpoint":
@@ -249,7 +333,7 @@ def test_warm_started_flows_match_cold_calls(g, ops):
             alive = sorted(g.alive_vertices())
             if op in ("include", "exclude") and alive:
                 v = alive[k % len(alive)]
-                eng.include_vertex(v) if op == "include" else eng.exclude_vertex(v)
+                eng.include((v,)) if op == "include" else eng.exclude_vertex(v)
                 settled = False
             elif op == "reduce":
                 eng.reduce()  # full variant: ends on a critical-set call that did not fire

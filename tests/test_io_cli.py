@@ -9,12 +9,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mwis
 
-from helpers import gnm_graph, random_graph, structured_family
+from helpers import copy_graph, gnm_graph, random_graph, structured_family, twin_gadget_graph
 from mwis import (ParseError, ReductionEngine, WeightedGraph, brute_force_mwis,
-                  lift_solution)
+                  lift_solution, reduce_to_kernel)
 from mwis import graph_io
 from mwis.cli import main
 from mwis.solution import verify_independent_set
@@ -115,8 +117,6 @@ def test_convergence_csv_format():
 
 
 def test_lifting_sidecar_round_trip():
-    from helpers import copy_graph
-    from mwis import reduce_to_kernel
     # seed 4 leaves a nonempty kernel whose stack contains fold records, so
     # the sidecar has to carry folded vertex ids beyond the input range
     g = random_graph(4, 30, 0.15)
@@ -142,23 +142,64 @@ def test_lifting_sidecar_round_trip():
     assert best.weight + offset == solve(original).solution.weight
 
 
+# Random graphs of mixed density fold and force; the twin gadgets add the
+# twin records they seldom make.  No kernelization here makes a transfer
+# record: test_documented_output_bytes reads one back.
+kernel_inputs = (
+    st.builds(random_graph, st.integers(0, 2**32), st.integers(1, 18),
+              st.sampled_from([0.1, 0.2, 0.35, 0.6]), st.sampled_from([4, 200]))
+    | st.builds(twin_gadget_graph, st.integers(0, 2**32)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_inputs, st.sampled_from(["full", "dense"]))
+def test_sidecar_of_any_kernel_reads_back_and_lifts_alike(g, variant):
+    original = copy_graph(g)
+    kr = reduce_to_kernel(g, variant)
+    kernel_map = sorted(kr.kernel.alive_vertices())
+    buf = io.StringIO()
+    graph_io.write_lifting(kr.offset, kernel_map, kr.stack, buf)
+    buf.seek(0)
+    offset, mapping, records = graph_io.read_lifting(buf)
+    assert (offset, mapping, records) == (kr.offset, kernel_map, kr.stack)
+    best = brute_force_mwis(kr.kernel)
+    lifted = lift_solution(best.vertices, records)
+    assert lifted == lift_solution(best.vertices, kr.stack)
+    assert verify_independent_set(original, lifted) == best.weight + offset \
+        == brute_force_mwis(original).weight
+
+
 SIDECAR_HEAD = "% lifting sidecar\noffset 5\nmap 1 2\n"  # the bad line comes fourth
 
 
 @pytest.mark.parametrize("line, message", [
     ("bogus 1", "unknown sidecar line 'bogus'"),
     ("rec merge r forced=1 consumed=1 offset=0", "unknown record kind 'merge'"),
-    ("rec include r forced=1 offset=0", "malformed sidecar line"),  # no consumed=
+    ("rec include r forced=1", "malformed sidecar line"),  # no offset=
     ("map 3 1", "map lines out of order"),
     ("map 2 x", "malformed sidecar line"),
+    # a bad value or a repeated field is named before a field of older versions
     ("rec include r forced=1,b consumed=1 offset=0", "malformed sidecar line"),
     # the writer gives each record kind exactly its fields, once, and one offset line
-    ("rec include r forced=1 consumed=1 offset=0 guard=2", "include record has no field 'guard'"),
-    ("rec fold r introduced=2 in=1 out=- consumed=1 offset=0 forced=1",
-     "fold record has no field 'forced'"),
+    ("rec include r forced=1 offset=0 guard=2", "include record has no field 'guard'"),
+    ("rec fold r introduced=2 in=1 out=- offset=0 forced=1", "fold record has no field 'forced'"),
     ("rec include r forced=1 forced=2 consumed=1 offset=0", "a record field is given twice"),
     ("rec include r forced=1 consumed=1 offset=0 offset=0", "a record field is given twice"),
+    ("rec transfer r forced=1 guard=- offset=0", "a transfer record needs a guard"),
     ("offset 6", "second offset line"),
+    # a record as older versions wrote it, with the vertices it removed
+    ("rec include r forced=1 consumed=1 offset=0", "include record has no field 'consumed'"),
+    # numbers only as str() writes them: ids from 1, offsets from 0, no sign,
+    # underscore or leading zero
+    ("map 2 0", "malformed sidecar line"),
+    ("map 2 +2", "malformed sidecar line"),
+    ("map 2 02", "malformed sidecar line"),
+    ("rec include r forced=0 offset=0", "malformed sidecar line"),
+    ("rec include r forced=1_0 offset=0", "malformed sidecar line"),
+    ("rec fold r introduced=2 in=-1 out=1 offset=0", "malformed sidecar line"),
+    ("rec fold r introduced=0 in=1 out=2 offset=0", "malformed sidecar line"),
+    ("rec include r forced=1 offset=-3", "malformed sidecar line"),
+    ("rec include r forced=1 offset=+3", "malformed sidecar line"),
 ])
 def test_sidecar_reader_names_the_bad_line(line, message, tmp_path, capsys):
     text = SIDECAR_HEAD + line + "\n"
@@ -174,8 +215,15 @@ def test_sidecar_reader_names_the_bad_line(line, message, tmp_path, capsys):
     assert err.startswith("error: line 4: ") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("head", ["offset -1", "offset +5", "offset 05", "offset 5_0"])
+def test_sidecar_reader_takes_the_offset_only_as_written(head):
+    with pytest.raises(ParseError) as exc:
+        graph_io.read_lifting(io.StringIO(head + "\n"))
+    assert exc.value.line == 1 and "malformed sidecar line" in str(exc.value)
+
+
 def test_sidecar_reader_needs_an_offset_line(tmp_path, capsys):
-    text = "map 1 2\nrec include r forced=1 consumed=1 offset=0\n"
+    text = "map 1 2\nrec include r forced=1 offset=0\n"
     with pytest.raises(ParseError) as exc:
         graph_io.read_lifting(io.StringIO(text))
     assert exc.value.line is None and "no offset line" in str(exc.value)
@@ -193,9 +241,9 @@ def test_sidecar_reader_needs_an_offset_line(tmp_path, capsys):
 SIDECAR_OF_EACH_KIND = (
     "offset 12\n"
     "map 1 8\n"
-    "rec transfer isolated_weight_transfer forced=1 guard=3 consumed=2,1 offset=4\n"
-    "rec include neighborhood_removal forced=4 consumed=3,4 offset=5\n"
-    "rec fold neighborhood_folding introduced=8 in=5,7 out=6 consumed=6,5,7 offset=3\n")
+    "rec transfer isolated_weight_transfer forced=1 guard=3 offset=4\n"
+    "rec include neighborhood_removal forced=4 offset=5\n"
+    "rec fold neighborhood_folding introduced=8 in=5,7 out=6 offset=3\n")
 
 SMALL_GRAPH = ("11 18 10\n43 3 4 7 9 10 11\n108 7 10\n177 1 5 7\n108 1 6 7 9 11\n"
                "163 3\n73 4 7 10\n123 1 2 3 4 6\n56\n122 1 4 10 11\n132 1 2 6 9\n"
@@ -223,9 +271,8 @@ SMALL_KERNEL = ("7 10 10\n108 5 7\n108 3 4 6 7\n73 2 5 7\n122 2 5 6\n"
                 "132 1 3 4\n47 2 4\n109 1 2 3\n")
 SMALL_SIDECAR = (
     "offset 233\nmap 1 2\nmap 2 4\nmap 3 6\nmap 4 9\nmap 5 10\nmap 6 11\nmap 7 12\n"
-    "rec include neighborhood_removal forced=8 consumed=8 offset=56\n"
-    "rec fold weighted_vertex_folding introduced=12 in=5,7 out=3 consumed=3,5,7 "
-    "offset=177\n")
+    "rec include neighborhood_removal forced=8 offset=56\n"
+    "rec fold weighted_vertex_folding introduced=12 in=5,7 out=3 offset=177\n")
 
 
 # One record of each rule that forces a set into the solution or folds: the
@@ -235,27 +282,27 @@ RULE_RECORDS = {
     "isolated_vertex_removal": (
         [2, 5, 3, 4], [(0, 1), (0, 2), (1, 2), (2, 3)],
         lambda eng: eng._try_isolated_vertex_removal(1),
-        "rec include isolated_vertex_removal forced=2 consumed=1,3,2 offset=5"),
+        "rec include isolated_vertex_removal forced=2 offset=5"),
     # twins 3, 4 outweigh their independent neighborhood {0, 1, 2}
     "twin_include": (
         [3, 3, 3, 5, 5], [(t, p) for t in (3, 4) for p in (0, 1, 2)],
         lambda eng: eng._try_weighted_twin(4),
-        "rec include weighted_twin forced=4,5 consumed=4,5,1,2,3 offset=10"),
+        "rec include weighted_twin forced=4,5 offset=10"),
     # twins 3, 4 outweigh any two of {0, 1, 2} but not all three
     "twin_fold": (
         [2, 2, 3, 3, 3], [(t, p) for t in (3, 4) for p in (0, 1, 2)],
         lambda eng: eng._try_weighted_twin(3),
-        "rec fold weighted_twin introduced=6 in=1,2,3 out=4,5 consumed=4,5,1,2,3 offset=6"),
+        "rec fold weighted_twin introduced=6 in=1,2,3 out=4,5 offset=6"),
     # degree-2 vertex 2 between the non-adjacent 0 and 1
     "weighted_vertex_folding": (
         [3, 2, 4], [(0, 2), (1, 2)],
         lambda eng: eng._try_weighted_vertex_folding(2),
-        "rec fold weighted_vertex_folding introduced=4 in=1,2 out=3 consumed=3,1,2 offset=4"),
+        "rec fold weighted_vertex_folding introduced=4 in=1,2 out=3 offset=4"),
     # the path 5 - 1 - 5: its two ends are the critical set
     "cwis": (
         [5, 1, 5], [(0, 1), (1, 2)],
         lambda eng: eng.cwis_reduction(),
-        "rec include cwis forced=1,3 consumed=1,2,3 offset=10"),
+        "rec include cwis forced=1,3 offset=10"),
 }
 
 

@@ -562,7 +562,7 @@ def test_dense_branch_reduce_leaves_no_queue_filled():
     eng = ReductionEngine(g, variant="dense")
     eng.reduce(initial=True)
     assert g.n_alive > 0
-    eng.include_vertex(select_branch_vertex(g))
+    eng.include((select_branch_vertex(g),))
     eng.reduce()
     assert all(not heap and not members for heap, members in eng._queues)
 

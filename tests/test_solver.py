@@ -74,17 +74,18 @@ def test_exploration_order_does_not_change_weight(monkeypatch):
     # sparser fourth one does not, which shows that the swap took effect
     graphs = [random_graph(seed, 24, 0.45) for seed in (2, 7, 11)] + [random_graph(7, 30, 0.3)]
     include_first = [solve(g) for g in graphs]
-    include, exclude = ReductionEngine.include_vertex, ReductionEngine.exclude_vertex
+    include, exclude = ReductionEngine.include, ReductionEngine.exclude_vertex
 
-    def exclude_on_branch(self, v, rule="branch"):
+    def exclude_on_branch(self, chosen, rule="branch"):
         if rule == "branch":
+            (v,) = chosen
             exclude(self, v)
         else:
-            include(self, v, rule)
+            include(self, chosen, rule)
 
     # the branch now excludes its vertex first and includes it second
-    monkeypatch.setattr(ReductionEngine, "include_vertex", exclude_on_branch)
-    monkeypatch.setattr(ReductionEngine, "exclude_vertex", lambda self, v: include(self, v))
+    monkeypatch.setattr(ReductionEngine, "include", exclude_on_branch)
+    monkeypatch.setattr(ReductionEngine, "exclude_vertex", lambda self, v: include(self, (v,)))
     exclude_first = [solve(g) for g in graphs]
     assert ([r.solution.weight for r in exclude_first]
             == [r.solution.weight for r in include_first])
