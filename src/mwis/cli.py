@@ -27,7 +27,7 @@ from .errors import CertificateError, GraphError, OracleSizeError, ParseError
 from .graph import MAX_TOTAL_WEIGHT, WeightedGraph
 from .local_search import ils_run
 from .oracle import brute_force_mwis
-from .reductions import lift_solution, reduce_to_kernel
+from .reductions import VARIANTS, lift_solution, reduce_to_kernel
 from .solution import Solution, verify_independent_set, verify_solution
 from .solver import SolverConfig, greedy_complete, solve
 
@@ -249,12 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exact branch-and-reduce")
     _add_common(p)
-    p.add_argument("--variant", choices=("full", "dense"), default="full")
+    p.add_argument("--variant", choices=VARIANTS, default="full")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("reduce", help="export the kernel and a lifting sidecar")
     _add_common(p, anytime=False)
-    p.add_argument("--variant", choices=("full", "dense"), default="full")
+    p.add_argument("--variant", choices=VARIANTS, default="full")
     p.add_argument("--kernel-out", required=True, metavar="PATH")
     p.add_argument("--lift", required=True, metavar="PATH")
     p.set_defaults(fn=cmd_reduce)
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hybrid", help="reduce, local-search the kernel, lift")
     _add_common(p)
-    p.add_argument("--variant", choices=("full", "dense"), default="full")
+    p.add_argument("--variant", choices=VARIANTS, default="full")
     p.add_argument("--iterations", type=_non_negative(int), default=None)
     p.set_defaults(fn=cmd_hybrid)
 

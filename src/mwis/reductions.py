@@ -91,6 +91,7 @@ LOCAL_RULES = (
     "neighbor_removal_meta",
 )
 CRITICAL_RULE = "critical_set"
+VARIANTS = ("full", "dense")  # the reduction portfolios; see ReductionEngine.reduce
 _DENSE_BRANCH_RULES = 6  # the prefix of LOCAL_RULES a dense reduce below the root drains
 MAX_META_SIZE = 16  # size cap of the neighborhood fold and the local subsolve
 
@@ -319,7 +320,7 @@ class ReductionEngine:
 
     def __init__(self, graph: WeightedGraph, variant: str = "full",
                  stats: Counter | None = None):
-        if variant not in ("full", "dense"):
+        if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
         self.g = graph
         self.variant = variant

@@ -1,16 +1,16 @@
 """Exact branch-and-reduce solver for maximum weight independent sets.
 
-Each search node reduces the graph to a fixpoint through the incremental
-reduction engine, computes a one-off local-search lower bound per
-subproblem (stopped once ``_LS_STALL`` rounds in a row fail to improve it,
-``_LS_ITERATIONS`` rounds at most, none below ``_LS_MIN_SIZE`` vertices or
-past ``MAX_TOTAL_WEIGHT`` in total, wall-capped at ``_LS_FRACTION`` of a
-time limit), prunes against the smaller of two upper bounds, a weighted
-clique cover and the half-integral LP relaxation that the critical-set flow
-gives, splits connected components into independent subproblems, and
-otherwise branches on the vertex of maximum degree (including it first).
-Backtracking rolls the shared graph back via the edit log instead of
-copying.
+A local-search lower bound runs once, on the root kernel (stopped once
+``_LS_STALL`` rounds in a row fail to improve it, ``_LS_ITERATIONS`` rounds
+at most, none below ``_LS_MIN_SIZE`` vertices or past ``MAX_TOTAL_WEIGHT``
+in total, wall-capped at ``_LS_FRACTION`` of a time limit).  Each search
+node reduces the graph to a fixpoint through the incremental reduction
+engine, prunes against the smaller of two upper bounds, a weighted clique
+cover and the half-integral LP relaxation that the critical-set flow gives,
+splits connected components into subproblems searched without a local
+search of their own, and otherwise branches on the vertex of maximum degree
+(including it first).  Backtracking rolls the shared graph back via the
+edit log instead of copying.
 
 The prune only asks whether the LP is at most the slack ``best - offset``,
 the yes/no test of :meth:`ReductionEngine.lp_prunes`; the LP is never below
@@ -36,7 +36,6 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import count
 
 from .bounds import clique_cover_bound
 from .errors import DeadlinePassed, InternalError, check_deadline
@@ -45,10 +44,10 @@ from .local_search import ils_run
 from .reductions import ReductionEngine, lift_solution
 from .solution import Solution, verify_independent_set, verify_solution
 
-_LS_ITERATIONS = 600  # ILS round budget per subproblem (capped at 10n + 50)
+_LS_ITERATIONS = 600  # ILS rounds, once, on the root kernel (at most 10n + 50)
 _LS_STALL = 32        # ILS stops after this many rounds without improvement
-_LS_FRACTION = 0.05   # share of the time limit one ILS run may take, at most 10 s
-_LS_MIN_SIZE = 12     # subproblems smaller than this get no ILS bound
+_LS_FRACTION = 0.05   # time-limit share of ILS, once, on the root kernel (at most 10 s)
+_LS_MIN_SIZE = 12     # ILS runs once, on the root kernel, when it has this many vertices
 
 
 @dataclass
@@ -60,8 +59,8 @@ class SolverConfig:
     rule entirely and, outside the initial kernelization, restricts the
     clique rules to triangles and disables the folding/subsolve meta rules.
 
-    The local-search lower bound runs once per subproblem of at least
-    ``_LS_MIN_SIZE`` vertices whose total weight fits in int64
+    The local-search lower bound runs once, on the root kernel, when it has
+    at least ``_LS_MIN_SIZE`` vertices and its total weight fits in int64
     (``MAX_TOTAL_WEIGHT``), seeded from ``seed``.  It stops at the first
     round that leaves its best weight unimproved ``_LS_STALL`` rounds in a
     row, and after ``_LS_ITERATIONS`` rounds at the latest, so it is
@@ -122,13 +121,12 @@ def greedy_complete(graph: WeightedGraph, partial=()) -> Solution:
 class _Ctx:
     """Incumbent state of one (sub)problem: a graph plus its engine."""
 
-    __slots__ = ("engine", "best_w", "best_set", "index")
+    __slots__ = ("engine", "best_w", "best_set")
 
-    def __init__(self, engine: ReductionEngine, index: int):
+    def __init__(self, engine: ReductionEngine):
         self.engine = engine
         self.best_w = 0
         self.best_set: set[int] | None = None
-        self.index = index  # creation order; seeds the context's ILS run
 
 
 class _Machine:
@@ -139,8 +137,7 @@ class _Machine:
         self.t0 = t0
         self.deadline = None if config.time_limit is None else t0 + config.time_limit
         self.convergence: list[tuple[float, int]] = []
-        self._indices = count()
-        self.root = _Ctx(engine, next(self._indices))
+        self.root = _Ctx(engine)
 
     def _offer(self, ctx: _Ctx, weight: int, kernel_set) -> None:
         """Keep ``kernel_set`` of ``ctx``'s reduced graph, lifted, if it is better."""
@@ -155,7 +152,16 @@ class _Machine:
             self.convergence.append((time.monotonic() - self.t0, weight))
 
     def run(self) -> None:
-        stack = [self._node(self.root, True)]
+        """Kernelize the root, bound it by local search once, then search it."""
+        eng = self.root.engine
+        try:
+            eng.reduce(initial=True, deadline=self.deadline)
+        finally:  # a reduce cut short reports the root graph as far as it got
+            self.kernel_n = eng.g.n_alive
+            self.kernel_m = eng.g.m_alive
+        check_deadline(self.deadline)
+        self._ils_bound()
+        stack = [self._node(self.root)]
         while stack:
             if len(stack) > self.stats.max_depth:
                 self.stats.max_depth = len(stack)
@@ -163,30 +169,21 @@ class _Machine:
             if child is None:
                 stack.pop()
             else:
-                stack.append(self._node(*child))
+                stack.append(self._node(child))
 
-    def _node(self, ctx: _Ctx, first: bool):
+    def _node(self, ctx: _Ctx):
         """Search one node of ``ctx``'s graph and leave the graph as found.
 
-        ``first`` marks the context's first node, which runs the ILS bound.
         The node reduces, then records a leaf, prunes, splits into
-        components or branches on one vertex.  It yields ``(child ctx,
-        first)`` for each child to search, and ``run`` resumes it once that
-        child's search is done.
+        components or branches on one vertex.  It yields the context of
+        each child to search, and ``run`` resumes it once that child's
+        search is done.
         """
         eng = ctx.engine
         self.stats.nodes += 1
         ckpt = eng.checkpoint()
-        initial = first and ctx is self.root
-        try:
-            eng.reduce(initial=initial, deadline=self.deadline)
-        finally:  # a reduce cut short reports the root graph as far as it got
-            if initial:
-                self.kernel_n = eng.g.n_alive
-                self.kernel_m = eng.g.m_alive
+        eng.reduce(deadline=self.deadline)
         check_deadline(self.deadline)
-        if first:
-            self._ils_bound(ctx)
         g = eng.g
         if g.n_alive == 0:
             self._offer(ctx, eng.offset, ())
@@ -202,9 +199,9 @@ class _Machine:
                     child_engine = ReductionEngine(
                         sub, variant=self.config.variant,
                         stats=self.stats.rule_applications)
-                    children.append((_Ctx(child_engine, next(self._indices)), mapping))
+                    children.append((_Ctx(child_engine), mapping))
                 for child, _ in children:
-                    yield child, True
+                    yield child
                 total = eng.offset
                 union: set[int] = set()
                 for child, mapping in children:
@@ -215,10 +212,10 @@ class _Machine:
                 v = select_branch_vertex(g)
                 branch = eng.checkpoint()
                 eng.include((v,))
-                yield ctx, False
+                yield ctx
                 eng.rollback(branch)
                 eng.exclude_vertex(v)
-                yield ctx, False
+                yield ctx
         eng.rollback(ckpt)
 
     def _bounded(self, eng: ReductionEngine, slack: int) -> bool:
@@ -234,8 +231,9 @@ class _Machine:
             self.stats.lp_flows += eng.lp_flows - flows
         return clique_cover_bound(eng.g, self.deadline) <= slack
 
-    def _ils_bound(self, ctx: _Ctx) -> None:
-        g = ctx.engine.g
+    def _ils_bound(self) -> None:
+        eng = self.root.engine
+        g = eng.g
         n = g.n_alive
         if n < _LS_MIN_SIZE:
             return
@@ -247,10 +245,10 @@ class _Machine:
         if self.deadline is not None:
             cap = min(_LS_FRACTION * self.config.time_limit, 10.0,
                       max(self.deadline - time.monotonic(), 0.0))
-        seed = (self.config.seed * 0x9E3779B9 + ctx.index) & ((1 << 62) - 1)
+        seed = (self.config.seed * 0x9E3779B9) & ((1 << 62) - 1)
         res = ils_run(g, iterations=rounds, time_limit=cap, seed=seed, stall=_LS_STALL)
         self.stats.ils_rounds += res.rounds
-        self._offer(ctx, ctx.engine.offset + res.solution.weight, res.solution.vertices)
+        self._offer(self.root, eng.offset + res.solution.weight, res.solution.vertices)
 
 
 def solve(graph: WeightedGraph, config: SolverConfig | None = None) -> SolveResult:

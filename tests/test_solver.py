@@ -154,8 +154,7 @@ def test_either_bound_alone_prunes(monkeypatch, variant, off):
     assert r.stats.prunes > 0 and r.stats.nodes >= both.stats.nodes
 
 
-def test_pruning_happens_on_hard_instances(monkeypatch):
-    monkeypatch.setattr(mwis.solver, "_LS_MIN_SIZE", 4)
+def test_pruning_happens_on_hard_instances():
     g = random_graph(3, 30, 0.5)
     r = solve(g)
     assert r.stats.prunes > 0
@@ -218,6 +217,28 @@ def test_ils_bound_stops_once_it_stalls(monkeypatch):
         assert r.stats.ils_rounds == sum(runs)
         assert all(0 < k < mwis.solver._LS_ITERATIONS for k in runs)
     assert len(weights) == 1
+
+
+@pytest.mark.parametrize("variant", ["full", "dense"])
+def test_ils_bound_runs_once_on_a_kernel_that_splits(variant):
+    # two disjoint dense blocks whose kernels both keep at least
+    # _LS_MIN_SIZE vertices: the components are searched without an ILS
+    # bound of their own
+    blocks = [random_graph(seed, 16, 0.5) for seed in (5, 6)]
+    weights, edges = [], []
+    for b in blocks:
+        off, n = len(weights), b.n_alive
+        weights += [b.weight(v) for v in range(n)]
+        edges += [(u + off, v + off) for u in range(n) for v in b.neighbors(u) if u < v]
+    g = WeightedGraph(weights, edges)
+    kernel = ReductionEngine(g.compact_copy()[0], variant=variant)
+    kernel.reduce(initial=True)
+    comps = kernel.g.connected_components()
+    assert len(comps) == 2 and min(map(len, comps)) >= mwis.solver._LS_MIN_SIZE
+    r = solve(g, SolverConfig(variant=variant))
+    assert r.stats.ils_runs == 1
+    assert r.solution.optimal
+    assert r.solution.weight == sum(brute_force_mwis(b).weight for b in blocks)
 
 
 # -- greedy completion ---------------------------------------------------
