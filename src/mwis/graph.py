@@ -1,15 +1,17 @@
 """Mutable vertex-weighted graph with an undo log.
 
-The branch-and-reduce search repeatedly removes vertices, folds vertex groups
-into fresh vertices and rewrites weights, then has to take everything back
-when it backtracks.  ``WeightedGraph`` supports exactly those edits and keeps
-a log of inverse actions so that ``rollback`` restores any earlier
-``checkpoint`` byte-for-byte (see ``canonical_serialization``).
+The branch-and-reduce search repeatedly removes vertices, adds fresh ones and
+rewrites weights, then has to take everything back when it backtracks.
+``WeightedGraph`` supports exactly those edits and keeps a log of inverse
+actions so that ``rollback`` restores any earlier ``checkpoint``
+byte-for-byte (see ``canonical_serialization``).
 
 Conventions:
 
-* vertices are dense integer ids; folded vertices get fresh ids appended past
-  the original range, dead ids are never reused,
+* vertices are dense integer ids; ``add_vertex`` appends its vertex past the
+  last id, and a removed vertex keeps its id, dead, so no edit reuses one,
+  but an id that a rollback takes back is handed out again by the next
+  ``add_vertex`` (the critical flow's warm start clips such ids),
 * weights are positive integers of any size, and a non-integer weight
   such as 2.5 is a ``GraphError``; the local search and the oracle sum them
   in int64 and refuse graphs past ``MAX_TOTAL_WEIGHT`` (2**63 - 1), and the
@@ -189,41 +191,25 @@ class WeightedGraph:
         for u in self._adj[v]:
             s[u] += delta
 
-    def fold_into_new_vertex(
-        self,
-        consumed: Iterable[int],
-        new_weight: int,
-        new_neighbors: Iterable[int],
-    ) -> int:
-        """Replace the ``consumed`` vertices by one fresh vertex.
-
-        The fresh vertex gets ``new_weight`` and is wired to ``new_neighbors``,
-        which must be alive and disjoint from ``consumed``.  Returns its id.
-        """
-        consumed = sorted(set(consumed))
-        new_neighbors = sorted(set(new_neighbors))
-        new_weight = _integer_weight(new_weight, "folded vertex")
-        for v in consumed:
-            self._require_alive(v)
-        cset = set(consumed)
-        for u in new_neighbors:
+    def add_vertex(self, weight: int, neighbors: Iterable[int]) -> int:
+        """Append a fresh vertex of ``weight`` wired to the alive
+        ``neighbors`` and return its id; refused, it edits nothing."""
+        weight = _integer_weight(weight, "new vertex")
+        neighbors = sorted(set(neighbors))
+        for u in neighbors:
             self._require_alive(u)
-            if u in cset:
-                raise GraphError(f"new neighbor {u} is among the consumed vertices")
-        for v in consumed:
-            self.remove_vertex(v)
         vid = len(self._w)
         s = self._s
-        self._w.append(new_weight)
-        self._adj.append(list(new_neighbors))
-        s.append(sum(self._w[u] for u in new_neighbors))
+        self._w.append(weight)
+        self._adj.append(neighbors)
+        s.append(sum(self._w[u] for u in neighbors))
         self._alive.append(True)
         self._n_alive += 1
-        self._m_alive += len(new_neighbors)
-        self._w_alive += new_weight
-        for u in new_neighbors:
+        self._m_alive += len(neighbors)
+        self._w_alive += weight
+        for u in neighbors:
             self._adj[u].append(vid)  # vid exceeds every existing id
-            s[u] += new_weight
+            s[u] += weight
         self._log.append((_NEW, vid))
         return vid
 

@@ -185,10 +185,10 @@ def _meta_unrefuted(a: int, b: int, w: list[int], adj: list[list[int]]) -> bool:
 
 
 # The checks of three rules read past ``N[v]``.  For each, keyed by its
-# index in ``LOCAL_RULES``: a function of the vertices ``touched`` since the
-# rule last looked and of the graph's weights and neighbor lists, that names
-# (maybe twice) every untouched vertex whose check of the rule a change at a
-# touched ``u`` may have made fire.  A dead ``u`` has no neighbors, so names
+# name: a function of the vertices ``touched`` since the rule last looked
+# and of the graph's weights and neighbor lists, that names (maybe twice)
+# every untouched vertex whose check of the rule a change at a touched
+# ``u`` may have made fire.  A dead ``u`` has no neighbors, so names
 # nothing.  Domination and the meta rule name only neighbors ``x < u``: for
 # ``x > u`` the touched ``u`` is popped first, and its own check tests the
 # pair, so by the time ``x`` is popped the pair cannot fire unless ``x`` or
@@ -247,7 +247,8 @@ def _meta_pairs(touched: set[int], w: list[int], adj: list[list[int]]) -> list[i
     return out
 
 
-_FAR_CHECKS = {1: _dominated_pairs, 5: _twin_askers, 7: _meta_pairs}
+_FAR_CHECKS = {"weighted_domination": _dominated_pairs, "weighted_twin": _twin_askers,
+               "neighbor_removal_meta": _meta_pairs}
 
 
 @dataclass(frozen=True)
@@ -327,20 +328,21 @@ class ReductionEngine:
         self.records: list[FoldRecord] = []
         self.offset = 0
         self.stats: Counter = Counter() if stats is None else stats
-        self._queues = [([], set()) for _ in LOCAL_RULES]
-        self._filled = self._queues  # the queues ``touch`` fills
-        # per rule of _FAR_CHECKS, the touched vertices not yet looked around
-        self._far: dict[int, set[int]] = {i: set() for i in _FAR_CHECKS}
-        self._far_filled = list(self._far.values())  # the sets ``_touched`` fills
+        # Per local rule: its heap of queued vertices, the set of them, and
+        # for a rule of _FAR_CHECKS the touched vertices not yet looked
+        # around (None for the others).
+        self._queues = [([], set(), set() if rule in _FAR_CHECKS else None)
+                        for rule in LOCAL_RULES]
+        self._filled = self._queues  # the states ``_touched`` fills
         self._cwis_flow: list[tuple[int, int, int]] = []
         self._cwis_idle_mark = -1
         self.lp_flows = 0
         w, adj, s = graph.plain_lists()
         for v in graph.alive_vertices():
-            for (heap, _), ok in zip(self._queues, _screens(len(adj[v]), w[v], s[v])):
+            for (heap, _, _), ok in zip(self._queues, _screens(len(adj[v]), w[v], s[v])):
                 if ok:
                     heap.append(v)  # ascending, so each list is a heap
-        for heap, members in self._queues:
+        for heap, members, _ in self._queues:
             members.update(heap)
 
     # ------------------------------------------------------------------
@@ -351,7 +353,7 @@ class ReductionEngine:
         """Queue the alive vertex ``v`` for every rule the current mode
         drains whose screen it passes."""
         w, adj, s = self.g.plain_lists()
-        for (heap, members), ok in zip(self._filled, _screens(len(adj[v]), w[v], s[v])):
+        for (heap, members, _), ok in zip(self._filled, _screens(len(adj[v]), w[v], s[v])):
             if ok and v not in members:
                 members.add(v)
                 heapq.heappush(heap, v)
@@ -361,8 +363,9 @@ class ReductionEngine:
         note them for the rules that read past a vertex's own."""
         for v in verts:
             self.touch(v)
-        for far in self._far_filled:
-            far.update(verts)
+        for _, _, far in self._filled:
+            if far is not None:
+                far.update(verts)
 
     def remove_vertex(self, v: int) -> None:
         nbrs = list(self.g.neighbors(v))
@@ -388,13 +391,16 @@ class ReductionEngine:
         """Replace ``fold_in`` and ``out`` by one fresh vertex of weight
         ``w(fold_in) - w(out)``, wired to their fringe, and record the fold:
         a lift takes ``fold_in`` for the fresh vertex and ``out`` without
-        it, so the offset is ``w(out)``."""
+        it, so the offset is ``w(out)``.  The fresh vertex is added before
+        the group is removed, so a fold the graph refuses (a fresh weight
+        below 1) edits nothing."""
         g = self.g
         fold_in, out = tuple(fold_in), tuple(out)
         w_out = sum(g.weight(x) for x in out)
         fringe = self._fringe(fold_in + out)
-        vid = g.fold_into_new_vertex(fold_in + out, sum(g.weight(x) for x in fold_in) - w_out,
-                                     fringe)
+        vid = g.add_vertex(sum(g.weight(x) for x in fold_in) - w_out, fringe)
+        for x in sorted(fold_in + out):
+            g.remove_vertex(x)
         self._touched([vid, *fringe])
         self._push_record(FoldRecord(rule, w_out, out, vid, fold_in))
 
@@ -419,11 +425,7 @@ class ReductionEngine:
         del self.records[nrec:]
         self.offset = offset
         self._cwis_idle_mark = -1
-        for heap, members in self._queues:
-            heap.clear()
-            members.clear()
-        for far in self._far_filled:
-            far.clear()
+        self._empty(self._queues)
 
     # ------------------------------------------------------------------
     # The scheduler
@@ -443,13 +445,7 @@ class ReductionEngine:
         dense = self.variant == "dense"
         k = _DENSE_BRANCH_RULES if dense and not initial else len(LOCAL_RULES)
         self._filled = self._queues[:k]
-        self._far_filled = [far for i, far in self._far.items() if i < k]
-        for heap, members in self._queues[k:]:
-            heap.clear()
-            members.clear()
-        for i, far in self._far.items():
-            if i >= k:
-                far.clear()
+        self._empty(self._queues[k:])
         end = k if dense else k + 1
         i = 0
         while i < end:
@@ -457,13 +453,20 @@ class ReductionEngine:
             changed = self._drain(i, deadline) if i < k else self.cwis_reduction(deadline)
             i = 0 if changed else i + 1
 
+    @staticmethod
+    def _empty(states) -> None:
+        for heap, members, far in states:
+            heap.clear()
+            members.clear()
+            if far is not None:
+                far.clear()
+
     def _drain(self, i: int, deadline: float | None) -> bool:
         rule = LOCAL_RULES[i]
-        heap, members = self._queues[i]
+        heap, members, far = self._queues[i]
         # Looked up on every drain, not cached: a wrapper installed on the
         # class (tracing counts rule calls this way) must take effect.
         apply_at = getattr(self, "_try_" + rule)
-        far = self._far.get(i)
         later: list[int] = []  # for the next drain: popped here, asked again
         top = -1  # the largest vertex popped so far
         changed = False
@@ -492,12 +495,11 @@ class ReductionEngine:
         return changed
 
     def _queue_far(self, i: int, top: int, later: list[int]) -> None:
-        """Queue for rule ``i`` what ``_FAR_CHECKS[i]`` names, those up to
-        ``top`` into ``later``."""
-        heap, members = self._queues[i]
-        far = self._far[i]
+        """Queue for rule ``i`` what its ``_FAR_CHECKS`` entry names, those
+        up to ``top`` into ``later``."""
+        heap, members, far = self._queues[i]
         w, adj, _ = self.g.plain_lists()
-        for x in _FAR_CHECKS[i](far, w, adj):
+        for x in _FAR_CHECKS[LOCAL_RULES[i]](far, w, adj):
             if x not in members:
                 if x > top:
                     members.add(x)

@@ -138,7 +138,7 @@ class ScanEngine(ReductionEngine):
     so it checks every rule everywhere instead of at dirty vertices only."""
 
     def _drain(self, i, deadline):
-        heap, members = self._queues[i]
+        heap, members, _ = self._queues[i]
         for v in self.g.alive_vertices():
             if v not in members:
                 members.add(v)
@@ -158,7 +158,7 @@ class UnscreenedEngine(ReductionEngine):
             self.touch(v)
 
     def touch(self, v):
-        for heap, members in self._filled:
+        for heap, members, _ in self._filled:
             if v not in members:
                 members.add(v)
                 heapq.heappush(heap, v)

@@ -74,10 +74,12 @@ def test_warm_start_survives_weight_cuts_and_reused_ids():
     assert critical_weighted_set(g, flow) == critical_weighted_set(g) == ([1, 2, 3], 11)
     assert_feasible(g, flow)
     mark = g.checkpoint()
-    assert g.fold_into_new_vertex([1], 9, [0, 2]) == 4
+    assert g.add_vertex(9, [0, 2]) == 4
+    g.remove_vertex(1)
     critical_weighted_set(g, flow)
     g.rollback(mark)
-    assert g.fold_into_new_vertex([2], 1, [3]) == 4  # same id, other arcs and weight
+    assert g.add_vertex(1, [3]) == 4  # same id, other arcs and weight
+    g.remove_vertex(2)
     assert critical_weighted_set(g, flow) == critical_weighted_set(g)
     assert_feasible(g, flow)
 

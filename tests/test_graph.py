@@ -46,26 +46,34 @@ def test_remove_dead_vertex_errors():
 
 def test_fold_path_to_isolated_vertex():
     g = path_graph([2, 3, 2])
-    vid = g.fold_into_new_vertex([0, 1, 2], 1, [])
-    assert g.is_alive(vid) and g.weight(vid) == 1
+    vid = g.add_vertex(1, [])
+    for v in (0, 1, 2):
+        g.remove_vertex(v)
+    assert vid == 3 and g.is_alive(vid) and g.weight(vid) == 1
     assert g.n_alive == 1 and g.degree(vid) == 0
 
 
 def test_fold_star_wiring():
     # center 0 with leaves 1,2 and an extra neighbor 3; fold {0,1,2} onto {3}
     g = WeightedGraph([5, 2, 2, 4], [(0, 1), (0, 2), (0, 3)])
-    vid = g.fold_into_new_vertex([0, 1, 2], 3, [3])
+    vid = g.add_vertex(3, [3])
+    for v in (0, 1, 2):
+        g.remove_vertex(v)
     assert g.neighbors(vid) == [3]
     assert g.neighbors(3) == [vid]
     g.check_invariants()
 
 
-def test_fold_overlap_is_error():
+def test_add_vertex_refuses_a_dead_neighbor_or_a_weight_below_1():
     g = path_graph([1, 1, 1])
-    with pytest.raises(GraphError):
-        g.fold_into_new_vertex([0, 1], 2, [1, 2])
-    with pytest.raises(GraphError):
-        g.fold_into_new_vertex([0], 0, [2])
+    g.remove_vertex(1)
+    before, mark = g.canonical_serialization(), g.checkpoint()
+    for weight, nbrs in ((2, [0, 1]), (2, [2, 3]), (0, [2]), (-1, [0])):
+        with pytest.raises(GraphError):
+            g.add_vertex(weight, nbrs)
+        assert g.canonical_serialization() == before and g.checkpoint() == mark
+        assert g.n_total == 3
+    g.check_invariants()
 
 
 @pytest.mark.parametrize("bad", [2.7, 2.0, "2", np.float64(3.0)])
@@ -77,14 +85,15 @@ def test_non_integer_weights_are_rejected(bad):
     with pytest.raises(GraphError, match="non-integer"):
         g.set_weight(0, bad)
     with pytest.raises(GraphError, match="non-integer"):
-        g.fold_into_new_vertex([0], bad, [1])
+        g.add_vertex(bad, [1])
     assert g.canonical_serialization() == before and g.checkpoint() == 0
 
 
 def test_numpy_integer_weights_are_stored_as_ints():
     g = WeightedGraph([np.int64(3), np.int32(2)], [(0, 1)])
     g.set_weight(1, np.int64(2**40))
-    vid = g.fold_into_new_vertex([0], np.uint8(7), [1])
+    vid = g.add_vertex(np.uint8(7), [1])
+    g.remove_vertex(0)
     assert [g.weight(v) for v in (0, 1, vid)] == [3, 2**40, 7]
     assert all(type(g.weight(v)) is int for v in (0, 1, vid))
     assert g.w_alive == 2**40 + 7
@@ -107,10 +116,21 @@ def test_rollback_after_fold_and_reweight():
     before = g.canonical_serialization()
     mark = g.checkpoint()
     nbrs = [u for u in range(8) if u not in (0, 1) and not g.has_edge(0, u)]
-    g.fold_into_new_vertex([0], 9, nbrs[:2])
+    g.add_vertex(9, nbrs[:2])
+    g.remove_vertex(0)
     g.set_weight(2, 123)
     g.rollback(mark)
     assert g.canonical_serialization() == before
+    # three fresh vertices, each wired to the earlier fresh ones: a clique
+    fresh = []
+    for w in (4, 5, 6):
+        fresh.append(g.add_vertex(w, [1, *fresh]))
+    g.remove_vertex(0)
+    assert fresh == [8, 9, 10] and g.neighbors(9) == [1, 8, 10]
+    g.check_invariants()
+    g.rollback(mark)
+    assert g.canonical_serialization() == before
+    g.check_invariants()
 
 
 def test_nested_checkpoints_unwind_lifo():
@@ -186,7 +206,8 @@ def test_random_edit_sequences_roll_back(seed, data):
             g.set_weight(v, data.draw(st.integers(1, 99)))
         else:
             others = [u for u in alive if u != v and not g.has_edge(u, v)]
-            g.fold_into_new_vertex([v], 5, others[:2])
+            g.add_vertex(5, others[:2])
+            g.remove_vertex(v)
         g.check_invariants()
     g.rollback(mark)
     assert g.canonical_serialization() == before
@@ -218,7 +239,9 @@ def test_alive_weight_matches_a_recount_through_edits_and_rollbacks(seed, data):
             else:
                 group = [v] + [u for u in g.neighbors(v)][:data.draw(st.integers(0, 2))]
                 others = [u for u in alive if u not in group]
-                g.fold_into_new_vertex(group, data.draw(st.integers(1, 2**70)), others[:3])
+                g.add_vertex(data.draw(st.integers(1, 2**70)), others[:3])
+                for u in sorted(group):
+                    g.remove_vertex(u)
         assert g.w_alive == recount()
         g.check_invariants()  # recounts every neighbor-weight sum too
     g.rollback(marks[0])

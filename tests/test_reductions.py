@@ -1,11 +1,13 @@
 """Reduction rules: worked examples, safety, lifting, and scheduling."""
 
+from copy import deepcopy
+
 import pytest
 
 from helpers import (ScanEngine, clique_graph, copy_graph, cubic_graph, cycle_graph,
                      gnm_graph, path_graph, random_graph, random_tree, star_graph,
                      structured_family, twin_gadget_graph)
-from mwis import (CertificateError, ReductionEngine, WeightedGraph,
+from mwis import (CertificateError, GraphError, ReductionEngine, WeightedGraph,
                   brute_force_mwis, critical_weighted_set, lift_solution,
                   reduce_to_kernel, select_branch_vertex)
 from mwis import reductions
@@ -555,16 +557,32 @@ def test_screens_reject_only_where_the_rule_cannot_fire():
     assert all(rejected[r] > 0 for r in screened), rejected
 
 
+def test_a_refused_fold_changes_nothing():
+    # The fresh vertex would weigh w(0) - w(1) = -2: the graph refuses it
+    # before the group goes, so the graph, its log, the records, the offset
+    # and the queues stay as they were.
+    g = WeightedGraph([3, 5, 1], [(0, 1), (1, 2)])
+    eng = ReductionEngine(g)
+    before, queues = g.canonical_serialization(), deepcopy(eng._queues)
+    with pytest.raises(GraphError):
+        eng.fold((0,), (1,), "x")
+    assert g.canonical_serialization() == before and g.checkpoint() == 0
+    assert eng.records == [] and eng.offset == 0 and eng._queues == queues
+
+
 def test_dense_branch_reduce_leaves_no_queue_filled():
     # Below the root a dense reduce drains only a prefix of the rules; the
-    # queues of the two it drops must not collect vertices that no drain pops.
+    # queues of the two it drops must not collect vertices that no drain
+    # pops, nor their far sets touched vertices that no drain looks around.
     g = gnm_graph(1, 150, 375)
     eng = ReductionEngine(g, variant="dense")
     eng.reduce(initial=True)
     assert g.n_alive > 0
     eng.include((select_branch_vertex(g),))
     eng.reduce()
-    assert all(not heap and not members for heap, members in eng._queues)
+    assert all(not heap and not members for heap, members, _ in eng._queues)
+    dropped = eng._queues[reductions._DENSE_BRANCH_RULES:]
+    assert [far for _, _, far in dropped] == [None, set()]
 
 
 def test_reduce_dispatches_through_the_class_try_attribute(monkeypatch):
