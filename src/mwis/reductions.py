@@ -19,7 +19,7 @@ check cannot have changed, so a scheduler that re-queues every alive vertex
 before each drain must produce the same kernel; the test suite keeps one as
 its reference and asserts that equivalence.  The rules a reduce drains are
 always a prefix of ``LOCAL_RULES``, followed in the ``full`` variant by the
-critical rule; a ``dense`` reduce below the root drains the first six, and
+critical rule; a ``dense`` reduce below the root drains the first four, and
 only the queues of the prefix are filled.  Given a deadline, a reduce raises
 :class:`mwis.errors.DeadlinePassed` at its first clock read past it, every
 edit made so far recorded.
@@ -27,14 +27,13 @@ edit made so far recorded.
 A touched vertex ``v`` joins a rule's queue only when it passes that rule's
 screen (``_screens``), an O(1) necessary condition on the degree, the weight
 and the neighbor-weight sum ``s(v)`` that the graph keeps: ``w(v) >= s(v)``
-for neighborhood removal, degree 2 for vertex folding, ``s(v) <= deg(v) *
-w(v)`` for isolated vertex removal, degree at least 1 for the weight
-transfer, degree 3 for the twin rule, and degree 1 to ``MAX_META_SIZE`` with
-``s(v) > w(v)`` for neighborhood folding.  The screens are exact: every
-change to the members, weights or induced edges of ``N[v]`` touches ``v``
-again, so a vertex kept out could only have been popped to fail, and the
-rules fire in the same order as without them.  The tests keep an unscreened
-engine as the reference of the screens.
+for neighborhood removal, degree 2 for vertex folding, degree 3 for the
+twin rule, and degree 1 to ``MAX_META_SIZE`` with ``s(v) > w(v)`` for
+neighborhood folding.  The screens are exact: every change to the members,
+weights or induced edges of ``N[v]`` touches ``v`` again, so a vertex kept
+out could only have been popped to fail, and the rules fire in the same
+order as without them.  The tests keep an unscreened engine as the
+reference of the screens.
 
 Three rules also read past ``N[v]``: domination and the meta rule the
 neighborhoods (the meta rule also the weights) of ``v``'s neighbors, the
@@ -43,11 +42,7 @@ each touched vertex is also noted for them, and before such a rule's next
 pop ``_FAR_CHECKS`` names the untouched vertices nearby whose check the
 change may have made fire.  One named at or below the largest vertex the
 running drain has popped waits for the rule's next drain, as a scan checks
-each vertex once per drain.  The weight
-transfer also reads the neighborhoods of ``v``'s heavier neighbors, but a
-heavier clique mate ``u`` of a simplicial ``v`` stops being simplicial only
-by a fold at a neighbor of ``u``, which the clique makes a neighbor of ``v``,
-so that fold touches ``v``.  Domination and the meta rule test each edge's
+each vertex once per drain.  Domination and the meta rule test each edge's
 pairs in one pass over the graph's plain lists, and the meta rule's refutes
 most pairs before building the local subproblem.
 
@@ -56,15 +51,15 @@ Rule order (cheap local rules first, the global flow-based rule last):
 1.  neighborhood removal        (forces a vertex outweighing its neighbors)
 2.  weighted domination         (drops a dominated-covering lighter vertex)
 3.  weighted vertex folding     (degree-2 fold)
-4.  isolated vertex removal     (simplicial vertex of maximum clique weight)
-5.  isolated weight transfer    (simplicial vertex, weight pushed to heavier
-                                 clique mates)
-6.  weighted twin               (degree-3 twins, include or fold)
-7.  neighborhood folding        (independent neighborhood fold, size-capped;
+4.  weighted twin               (degree-3 twins, include or fold)
+5.  neighborhood folding        (independent neighborhood fold, size-capped;
                                  dense variant: initial reduce only)
-8.  neighbor removal            (local exact subsolve, size-capped; dense
+6.  neighbor removal            (local exact subsolve, size-capped; dense
                                  variant: initial reduce only)
-9.  critical weighted set       (global min-cut rule; full variant only)
+7.  critical weighted set       (global min-cut rule; full variant only)
+
+The paper's isolated vertex removal and weight transfer are engine methods
+that rules 1 and 2 imply, so they are not drained.
 """
 
 from __future__ import annotations
@@ -84,15 +79,13 @@ LOCAL_RULES = (
     "neighborhood_removal",
     "weighted_domination",
     "weighted_vertex_folding",
-    "isolated_vertex_removal",
-    "isolated_weight_transfer",
     "weighted_twin",
     "neighborhood_folding",
     "neighbor_removal_meta",
 )
 CRITICAL_RULE = "critical_set"
 VARIANTS = ("full", "dense")  # the reduction portfolios; see ReductionEngine.reduce
-_DENSE_BRANCH_RULES = 6  # the prefix of LOCAL_RULES a dense reduce below the root drains
+_DENSE_BRANCH_RULES = 4  # the prefix of LOCAL_RULES a dense reduce below the root drains
 MAX_META_SIZE = 16  # size cap of the neighborhood fold and the local subsolve
 
 
@@ -146,8 +139,6 @@ def _screens(deg: int, w: int, s: int) -> tuple[bool, ...]:
     return (w >= s,                                  # neighborhood removal
             True,                                    # weighted domination
             deg == 2,                                # weighted vertex folding
-            s <= deg * w,                            # isolated vertex removal
-            deg >= 1,                                # isolated weight transfer
             deg == 3,                                # weighted twin
             1 <= deg <= MAX_META_SIZE and s > w,     # neighborhood folding
             True)                                    # neighbor removal meta
@@ -437,11 +428,11 @@ class ReductionEngine:
         The rules drained are the first ``k`` of ``LOCAL_RULES``, then, in
         the ``full`` variant, the critical rule as index ``k``.  A ``dense``
         reduce outside the initial one drops the last two local rules
-        (``_DENSE_BRANCH_RULES`` are kept) and holds the isolated rules to
-        cliques of degree at most 2.  Queues past ``k`` are emptied and stay
-        unfilled until a reduce drains them again.  ``deadline`` is looked
-        at before each drain, every 64 rule checks and in the critical flow;
-        once it has passed, :class:`mwis.errors.DeadlinePassed` is raised."""
+        (``_DENSE_BRANCH_RULES`` are kept).  Queues past ``k`` are emptied
+        and stay unfilled until a reduce drains them again.  ``deadline`` is
+        looked at before each drain, every 64 rule checks and in the
+        critical flow; once it has passed,
+        :class:`mwis.errors.DeadlinePassed` is raised."""
         dense = self.variant == "dense"
         k = _DENSE_BRANCH_RULES if dense and not initial else len(LOCAL_RULES)
         self._filled = self._queues[:k]
@@ -577,11 +568,16 @@ class ReductionEngine:
         return True
 
     def _try_isolated_vertex_removal(self, v: int) -> bool:
-        """Force in a simplicial vertex that is heaviest in its clique."""
+        """Force in a simplicial vertex that is heaviest in its clique.
+
+        Not in ``LOCAL_RULES``: a reduce would drain it only at the fixpoint
+        of neighborhood removal and domination, where an isolated ``v`` is
+        taken and a clique mate no heavier than ``v`` is a domination pair,
+        so neither this rule nor the weight transfer (which needs such a
+        mate) could fire.  Both stay, callable on their own, for the tests
+        of their safety and of the sidecar's ``transfer`` record."""
         g = self.g
         nbrs = g.neighbors(v)
-        if len(nbrs) > 2 and len(self._filled) < len(LOCAL_RULES):
-            return False  # a dense reduce below the root
         wv = g.weight(v)
         if any(g.weight(u) > wv for u in nbrs):
             return False
@@ -596,12 +592,11 @@ class ReductionEngine:
         Clique mates no heavier than ``v`` are deleted outright; the rest
         lose ``w(v)`` weight.  Applied only when it deletes at least one
         neighbor, and only when every simplicial clique mate is no heavier
-        than ``v``.
+        than ``v``.  Not drained, for the reason and with the use that
+        ``_try_isolated_vertex_removal`` gives.
         """
         g = self.g
         nbrs = list(g.neighbors(v))
-        if len(nbrs) > 2 and len(self._filled) < len(LOCAL_RULES):
-            return False  # a dense reduce below the root
         wv = g.weight(v)
         removed = [u for u in nbrs if g.weight(u) <= wv]
         if not removed:

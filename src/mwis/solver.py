@@ -56,8 +56,8 @@ class SolverConfig:
 
     ``variant`` selects the reduction portfolio: ``full`` runs everything
     including the global critical-set rule; ``dense`` drops the critical-set
-    rule entirely and, outside the initial kernelization, restricts the
-    clique rules to triangles and disables the folding/subsolve meta rules.
+    rule entirely and, outside the initial kernelization, disables the
+    folding/subsolve meta rules.
 
     The local-search lower bound runs once, on the root kernel, when it has
     at least ``_LS_MIN_SIZE`` vertices and its total weight fits in int64

@@ -7,6 +7,15 @@ import sys
 from hypothesis import strategies as st
 
 from mwis import ReductionEngine, WeightedGraph, critical_weighted_set
+from mwis.reductions import CRITICAL_RULE
+
+# Every rule the safety tests apply on its own: the local rules a reduce
+# drains, with the two simplicial-vertex rules it does not drain listed
+# after vertex folding, where the schedule once had them, then the critical
+# rule.
+RULES = ("neighborhood_removal", "weighted_domination", "weighted_vertex_folding",
+         "isolated_vertex_removal", "isolated_weight_transfer", "weighted_twin",
+         "neighborhood_folding", "neighbor_removal_meta", CRITICAL_RULE)
 
 
 def random_graph(seed, n, p, wmax=200):
@@ -96,6 +105,18 @@ def twin_gadget_graph(seed, wmax=8):
         edges.add((min(s, u), max(s, u)))
         edges.add((min(s, v), max(s, v)))
     return WeightedGraph(weights, sorted(edges))
+
+
+def apply_rule_once(engine, rule):
+    """Apply ``rule`` at the first alive vertex, in id order, where it
+    fires (the critical rule once, to the whole graph); whether it did."""
+    if rule == CRITICAL_RULE:
+        return engine.cwis_reduction()
+    try_fn = getattr(engine, "_try_" + rule)
+    for v in sorted(engine.g.alive_vertices()):
+        if try_fn(v):
+            return True
+    return False
 
 
 def copy_graph(g):

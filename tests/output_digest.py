@@ -11,6 +11,9 @@ every ``SearchStats`` field, the convergence weights and the kernel size,
 then ``reduce_to_kernel``'s kernel as ``serialize_graph`` writes it and its
 sidecar as ``write_lifting`` writes it.  Times are left out.  The package
 is imported from this checkout's ``src``, whatever is installed.
+
+``tests/test_differential.py`` pins the digest: a change that alters an
+output by design updates the pin there and says so.
 """
 
 import dataclasses
@@ -55,16 +58,23 @@ def outputs(g, variant):
     yield sidecar.getvalue()
 
 
-def main():
-    digest = hashlib.sha256()
+def digest():
+    """The SHA-256 hex digest over every pair's outputs, and the number of
+    (graph, variant) pairs hashed."""
+    sha = hashlib.sha256()
     pairs = 0
     for g in graphs():
         for variant in VARIANTS:
             for line in outputs(g, variant):
-                digest.update(line.encode())
-                digest.update(b"\0")
+                sha.update(line.encode())
+                sha.update(b"\0")
             pairs += 1
-    print(f"{digest.hexdigest()}  {pairs} (graph, variant) pairs")
+    return sha.hexdigest(), pairs
+
+
+def main():
+    hexdigest, pairs = digest()
+    print(f"{hexdigest}  {pairs} (graph, variant) pairs")
 
 
 if __name__ == "__main__":

@@ -15,15 +15,15 @@ import time
 
 import pytest
 
-from helpers import (ScanEngine, clique_graph, copy_graph, cycle_graph, exact_lp,
-                     gnm_graph, path_graph, random_graph, random_tree,
-                     star_graph, structured_family, twin_gadget_graph)
+from helpers import (RULES, ScanEngine, apply_rule_once, clique_graph, copy_graph,
+                     cycle_graph, exact_lp, gnm_graph, path_graph, random_graph,
+                     random_tree, star_graph, structured_family, twin_gadget_graph)
 from mwis import (ReductionEngine, SolverConfig,
                   brute_force_critical_set, brute_force_mwis,
                   clique_cover_bound, critical_weighted_set,
                   lift_solution, reduce_to_kernel, solve)
 import mwis.solver
-from mwis import graph_io, reductions
+from mwis import graph_io
 from mwis.cli import main
 from mwis.solution import verify_independent_set, verify_solution
 
@@ -75,19 +75,6 @@ def test_01_oracle_exactness():
             f"{checked} solves matched the oracle in {time.monotonic() - t0:.1f}s")
 
 
-RULES = reductions.LOCAL_RULES + (reductions.CRITICAL_RULE,)
-
-
-def _apply_rule_once(engine, rule):
-    if rule == reductions.CRITICAL_RULE:
-        return engine.cwis_reduction()
-    try_fn = getattr(engine, "_try_" + rule)
-    for v in sorted(engine.g.alive_vertices()):
-        if try_fn(v):
-            return True
-    return False
-
-
 def test_02_reduction_safety():
     applications = 0
     for rule in RULES:
@@ -99,7 +86,7 @@ def test_02_reduction_safety():
                 g = random_graph(seed, n, [0.15, 0.35, 0.6][seed % 3], wmax=9)
             original = copy_graph(g)
             eng = ReductionEngine(g)
-            if not _apply_rule_once(eng, rule):
+            if not apply_rule_once(eng, rule):
                 continue
             applications += 1
             want = brute_force_mwis(original).weight

@@ -2,8 +2,9 @@
 engine's screens against an engine that queues every touched vertex, the
 kernel round trip against the solver, the meta rule's subsolve and weight
 tests against the brute-force oracle, the local search's worklist descent
-against the full sweep it replays, and the critical-set flow, cold and warm
-started, against the generic max flow it replaced."""
+against the full sweep it replays, the critical-set flow, cold and warm
+started, against the generic max flow it replaced, and every output of
+``tests/output_digest.py`` against its pinned digest."""
 
 import random
 from unittest import mock
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import flow_reference
 import ls_reference
+import output_digest
 import mwis.solver
 from helpers import (ScanEngine, UnscreenedEngine, copy_graph, cubic_graph,
                      gnm_graph, small_graphs)
@@ -348,3 +350,13 @@ def test_warm_started_flows_match_cold_calls(g, ops):
             elif op == "rollback" and marks:
                 eng.rollback(marks.pop())
                 settled = False
+
+
+# The digest of solve's and reduce_to_kernel's outputs on the fixed graphs
+# of tests/output_digest.py.  A change that alters an output by design
+# updates it and says so; any other change keeps it, on every backend.
+OUTPUT_DIGEST = "51ede3385d7359c11cb5443804191aa5d6622e6df37c2f8b4a7ea276068b663f"
+
+
+def test_outputs_are_byte_identical_to_the_pinned_digest():
+    assert output_digest.digest() == (OUTPUT_DIGEST, 580)

@@ -3,10 +3,13 @@
 from copy import deepcopy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import (ScanEngine, clique_graph, copy_graph, cubic_graph, cycle_graph,
-                     gnm_graph, path_graph, random_graph, random_tree, star_graph,
-                     structured_family, twin_gadget_graph)
+from helpers import (RULES, ScanEngine, apply_rule_once, clique_graph, copy_graph,
+                     cubic_graph, cycle_graph, gnm_graph, path_graph, random_graph,
+                     random_tree, small_graphs, star_graph, structured_family,
+                     twin_gadget_graph)
 from mwis import (CertificateError, GraphError, ReductionEngine, WeightedGraph,
                   brute_force_mwis, critical_weighted_set, lift_solution,
                   reduce_to_kernel, select_branch_vertex)
@@ -451,17 +454,8 @@ def test_lift_rejects_non_independent_input():
 # safety of every rule in isolation
 # ----------------------------------------------------------------------
 
-RULES = reductions.LOCAL_RULES + (reductions.CRITICAL_RULE,)
-
-
-def apply_rule_once(engine, rule):
-    if rule == reductions.CRITICAL_RULE:
-        return engine.cwis_reduction()
-    try_fn = getattr(engine, "_try_" + rule)
-    for v in sorted(engine.g.alive_vertices()):
-        if try_fn(v):
-            return True
-    return False
+def test_the_safety_rules_cover_every_scheduled_rule():
+    assert set(reductions.LOCAL_RULES) | {reductions.CRITICAL_RULE} <= set(RULES)
 
 
 def _safety_instance(rule, seed):
@@ -519,6 +513,37 @@ def test_fixpoint_no_rule_reapplies():
         eng.reduce(initial=True)
         assert eng.offset == 0 and not eng.records
         assert sum(eng.stats.values()) == 0
+
+
+def _assert_no_simplicial_rule_fires(eng):
+    g = eng.g
+    for v in list(g.alive_vertices()):
+        nbrs = g.neighbors(v)
+        if eng._is_clique(nbrs):
+            assert all(g.weight(u) > g.weight(v) for u in nbrs), v
+        assert not eng._try_isolated_vertex_removal(v), v
+        assert not eng._try_isolated_weight_transfer(v), v
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.sampled_from(reductions.VARIANTS), st.data())
+def test_no_simplicial_rule_fires_at_a_reduce_fixpoint(g, variant, data):
+    # What keeps the two simplicial-vertex rules out of LOCAL_RULES: at the
+    # fixpoint of neighborhood removal and domination every clique mate of a
+    # simplicial vertex is strictly heavier than it, so neither rule fires,
+    # after the initial reduce and after a branch's, in both variants.
+    eng = ReductionEngine(g, variant=variant)
+    eng.reduce(initial=True)
+    _assert_no_simplicial_rule_fires(eng)
+    if g.n_alive == 0:
+        return
+    v = data.draw(st.sampled_from(sorted(g.alive_vertices())))
+    if data.draw(st.booleans()):
+        eng.include((v,))
+    else:
+        eng.exclude_vertex(v)
+    eng.reduce()
+    _assert_no_simplicial_rule_fires(eng)
 
 
 def test_queue_equals_scan_scheduling():
