@@ -16,9 +16,11 @@ Every command's result record, one line of JSON with sorted keys, comes from
 :func:`result_record`; convergence logs are ``elapsed_seconds,weight`` CSV.
 The lifting sidecar written next to an exported kernel carries the weight
 offset, the id map and the fold record stack in replay order, enough to lift
-a kernel solution in a separate process.  ``_RECORD_FIELDS`` gives each
-record kind's fields to the writer and to the reader, which rejects any line
-that the writer does not write, down to the spelling of each number.
+a kernel solution in a separate process.  A record with no introduced
+vertex is written as an ``include``, any other as a ``fold`` whose groups
+are separated by ``;``.  ``_RECORD_FIELDS`` gives each record kind's fields
+to the writer and to the reader, which rejects any line that the writer does
+not write, down to the spelling of each number.
 """
 
 from __future__ import annotations
@@ -219,20 +221,19 @@ def write_convergence(entries: Sequence[tuple[float, int]], fh: TextIO) -> None:
 # ----------------------------------------------------------------------
 
 # Each record kind's fields in written order, with the FoldRecord attribute
-# each fills: ``offset`` is an integer, ``introduced`` the only single id, and
-# every other field an id list.
+# each fills: ``offset`` is an integer, ``in`` a ``;``-separated list of
+# groups, one per introduced id, and every other field an id list.
 _RECORD_FIELDS = {
     "include": {"forced": "out", "offset": "offset"},
     "fold": {"introduced": "introduced", "in": "fold_in", "out": "out", "offset": "offset"},
-    "transfer": {"forced": "out", "guard": "guard", "offset": "offset"},
 }
 
 
 def _format_field(attr: str, value) -> str:
     if attr == "offset":
         return str(value)
-    if attr == "introduced":
-        return str(value + 1)
+    if attr == "fold_in":
+        return ";".join(_format_field("out", group) for group in value)
     return ",".join(str(v + 1) for v in value) or "-"
 
 
@@ -245,13 +246,18 @@ def _number(text: str, least: int) -> int:
     return value
 
 
+def _parse_ids(text: str) -> tuple[int, ...]:
+    return tuple(_number(tok, 1) - 1 for tok in text.split(","))
+
+
 def _parse_field(attr: str, text: str):
-    """Reads what ``_format_field`` writes: offsets from 0, ids from 1."""
+    """Reads what ``_format_field`` writes: offsets from 0, ids from 1, and
+    no group empty."""
     if attr == "offset":
         return _number(text, 0)
-    if attr == "introduced":
-        return _number(text, 1) - 1
-    return () if text == "-" else tuple(_number(tok, 1) - 1 for tok in text.split(","))
+    if attr == "fold_in":
+        return tuple(map(_parse_ids, text.split(";")))
+    return () if text == "-" else _parse_ids(text)
 
 
 def write_lifting(offset: int, kernel_map: Sequence[int],
@@ -261,7 +267,7 @@ def write_lifting(offset: int, kernel_map: Sequence[int],
     for kid, orig in enumerate(kernel_map):
         fh.write(f"map {kid + 1} {orig + 1}\n")
     for rec in records:
-        kind = "fold" if rec.introduced is not None else "transfer" if rec.guard else "include"
+        kind = "fold" if rec.introduced else "include"
         fields = " ".join(f"{name}={_format_field(attr, getattr(rec, attr))}"
                           for name, attr in _RECORD_FIELDS[kind].items())
         fh.write(f"rec {kind} {rec.rule} {fields}\n")
@@ -301,8 +307,8 @@ def read_lifting(fh: TextIO) -> tuple[int, list[int], tuple[FoldRecord, ...]]:
                 unknown = given.keys() - fields.keys()
                 if unknown:
                     raise ParseError(f"{kind} record has no field {min(unknown)!r}", lineno)
-                if kind == "transfer" and not rec.guard:  # written as an include
-                    raise ParseError("a transfer record needs a guard", lineno)
+                if len(rec.fold_in) != len(rec.introduced):  # a fold with k = 0 is an include
+                    raise ParseError("a fold record needs one group per introduced id", lineno)
                 records.append(rec)
             else:
                 raise ParseError(f"unknown sidecar line {parts[0]!r}", lineno)

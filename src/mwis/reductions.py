@@ -8,7 +8,8 @@ with weight increased by exactly the offset.  Applying the rules to a
 fixpoint yields the kernel.  A rule that forces a set into the solution calls
 ``ReductionEngine.include``, and one that merges vertices into a fresh one
 calls ``ReductionEngine.fold``; each edits the graph and pushes its own
-record.  Only the weight transfer builds its record by hand.
+record.  A fold replaces ``out`` and k groups by k fresh vertices; an
+include deletes the forced set's neighbors, then folds it with k = 0.
 
 Scheduling follows the incremental discipline: each local rule is one
 engine method, ``_try_<rule>(v)``, and keeps a min-heap of vertices whose
@@ -71,7 +72,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .critical import critical_value_at_most, critical_weighted_set
-from .errors import check_deadline
+from .errors import GraphError, check_deadline
 from .graph import WeightedGraph
 from .solution import verify_independent_set
 
@@ -245,21 +246,19 @@ _FAR_CHECKS = {"weighted_domination": _dominated_pairs, "weighted_twin": _twin_a
 @dataclass(frozen=True)
 class FoldRecord:
     """One reversible reduction step, replayed over a kernel solution ``I``
-    by one rule: if the ``introduced`` vertex is in ``I``, it is swapped for
-    ``fold_in``; otherwise, if ``I`` meets no ``guard`` vertex, ``out`` joins.
+    by one rule: each fresh vertex ``introduced[i]`` in ``I`` is swapped for
+    its group ``fold_in[i]``; if ``I`` holds none of them, ``out`` joins.
     Either way the solution weight rises by exactly ``offset``.
 
-    An include (``ReductionEngine.include``) sets only ``out``, a fold
-    (``ReductionEngine.fold``) also ``introduced`` and ``fold_in``, and the
-    weight transfer also ``guard``, the heavier clique mates it lightened.
+    A fold (``ReductionEngine.fold``) of k groups introduces k vertices; an
+    include (``ReductionEngine.include``) is the case k = 0.
     """
 
     rule: str
     offset: int
     out: tuple[int, ...]
-    introduced: int | None = None
-    fold_in: tuple[int, ...] = ()
-    guard: tuple[int, ...] = ()
+    introduced: tuple[int, ...] = ()
+    fold_in: tuple[tuple[int, ...], ...] = ()
 
 
 def lift_solution(kernel_vertices: Iterable[int],
@@ -270,11 +269,10 @@ def lift_solution(kernel_vertices: Iterable[int],
     """
     chosen = set(kernel_vertices)
     for rec in reversed(stack):
-        if rec.introduced in chosen:
-            chosen.discard(rec.introduced)
-            chosen.update(rec.fold_in)
-        elif chosen.isdisjoint(rec.guard):
-            chosen.update(rec.out)
+        taken = [group for vid, group in zip(rec.introduced, rec.fold_in) if vid in chosen]
+        chosen.difference_update(rec.introduced)
+        for group in taken or [rec.out]:
+            chosen.update(group)
     return chosen
 
 
@@ -363,45 +361,42 @@ class ReductionEngine:
         self.g.remove_vertex(v)
         self._touched(nbrs)
 
-    def set_weight(self, v: int, w: int) -> None:
-        self.g.set_weight(v, w)
-        self._touched([v, *self.g.neighbors(v)])
-
     def include(self, chosen: Sequence[int], rule: str = "branch") -> None:
-        """Force the independent set ``chosen`` into the solution: record it,
-        then delete ``N(chosen)`` in ascending order, then ``chosen``."""
-        chosen = tuple(chosen)
-        nbhd = self._fringe(chosen)
-        self._push_record(FoldRecord(rule, sum(self.g.weight(x) for x in chosen), chosen))
-        for u in nbhd:
+        """Force the independent set ``chosen`` into the solution: delete
+        ``N(chosen)`` in ascending order, then fold ``chosen`` with no group."""
+        for u in sorted({u for x in chosen for u in self.g.neighbors(x)}):
             self.remove_vertex(u)
-        for x in chosen:
-            self.remove_vertex(x)
+        self.fold((), chosen, rule)
 
-    def fold(self, fold_in: Sequence[int], out: Sequence[int], rule: str) -> None:
-        """Replace ``fold_in`` and ``out`` by one fresh vertex of weight
-        ``w(fold_in) - w(out)``, wired to their fringe, and record the fold:
-        a lift takes ``fold_in`` for the fresh vertex and ``out`` without
-        it, so the offset is ``w(out)``.  The fresh vertex is added before
-        the group is removed, so a fold the graph refuses (a fresh weight
-        below 1) edits nothing."""
+    def fold(self, groups: Sequence[Sequence[int]], out: Sequence[int], rule: str) -> None:
+        """Replace ``out`` and the k ``groups`` by k fresh vertices and
+        record it: a lift takes a group for its fresh vertex, ``out`` for
+        none, so the offset is ``w(out)``.  A group's fresh vertex weighs
+        ``w(group) - w(out)``, wired to the group's neighbors outside
+        ``out`` and the groups and to the fresh vertices before it.  A fresh
+        weight below 1 is refused (``GraphError``) before any edit."""
         g = self.g
-        fold_in, out = tuple(fold_in), tuple(out)
+        groups, out = tuple(map(tuple, groups)), tuple(out)
         w_out = sum(g.weight(x) for x in out)
-        fringe = self._fringe(fold_in + out)
-        vid = g.add_vertex(sum(g.weight(x) for x in fold_in) - w_out, fringe)
-        for x in sorted(fold_in + out):
+        weights = [sum(g.weight(x) for x in group) - w_out for group in groups]
+        if weights and min(weights) < 1:
+            raise GraphError(f"a fold vertex would weigh {min(weights)}")
+        gone = set(out).union(*groups)
+        introduced: list[int] = []
+        fringe: set[int] = set()
+        for group, weight in zip(groups, weights):
+            wires = {u for x in group for u in g.neighbors(x) if u not in gone}
+            fringe |= wires
+            introduced.append(g.add_vertex(weight, [*wires, *introduced]))
+        for x in sorted(gone):
             g.remove_vertex(x)
-        self._touched([vid, *fringe])
-        self._push_record(FoldRecord(rule, w_out, out, vid, fold_in))
+        self._touched([*introduced, *sorted(fringe)])
+        self.records.append(FoldRecord(rule, w_out, out, tuple(introduced), groups))
+        self.offset += w_out
 
     def exclude_vertex(self, v: int) -> None:
         """Remove ``v`` knowing some optimal solution avoids it."""
         self.remove_vertex(v)
-
-    def _push_record(self, rec: FoldRecord) -> None:
-        self.records.append(rec)
-        self.offset += rec.offset
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -516,13 +511,6 @@ class ReductionEngine:
                     return False
         return True
 
-    def _fringe(self, group: Iterable[int]) -> list[int]:
-        gset = set(group)
-        out = set()
-        for v in gset:
-            out.update(u for u in self.g.neighbors(v) if u not in gset)
-        return sorted(out)
-
     # ------------------------------------------------------------------
     # The rules: ``_try_<rule>(v)`` applies the rule at most once at ``v``
     # and reports whether the graph changed.
@@ -564,7 +552,7 @@ class ReductionEngine:
         wv, wu, wx = g.weight(v), g.weight(u), g.weight(x)
         if not (wv < wu + wx and wv >= max(wu, wx)):
             return False
-        self.fold((u, x), (v,), "weighted_vertex_folding")
+        self.fold(((u, x),), (v,), "weighted_vertex_folding")
         return True
 
     def _try_isolated_vertex_removal(self, v: int) -> bool:
@@ -575,7 +563,7 @@ class ReductionEngine:
         taken and a clique mate no heavier than ``v`` is a domination pair,
         so neither this rule nor the weight transfer (which needs such a
         mate) could fire.  Both stay, callable on their own, for the tests
-        of their safety and of the sidecar's ``transfer`` record."""
+        of their safety."""
         g = self.g
         nbrs = g.neighbors(v)
         wv = g.weight(v)
@@ -589,10 +577,11 @@ class ReductionEngine:
     def _try_isolated_weight_transfer(self, v: int) -> bool:
         """Remove a simplicial vertex, pushing its weight onto heavier mates.
 
-        Clique mates no heavier than ``v`` are deleted outright; the rest
-        lose ``w(v)`` weight.  Applied only when it deletes at least one
-        neighbor, and only when every simplicial clique mate is no heavier
-        than ``v``.  Not drained, for the reason and with the use that
+        Clique mates no heavier than ``v`` are deleted outright; then ``v``
+        is folded with each heavier mate as its own group (struction's
+        clique case).  Applied only when it deletes at least one neighbor,
+        and only when every simplicial clique mate is no heavier than
+        ``v``.  Not drained, for the reason and with the use that
         ``_try_isolated_vertex_removal`` gives.
         """
         g = self.g
@@ -606,13 +595,9 @@ class ReductionEngine:
         for u in nbrs:
             if g.weight(u) > wv and self._is_clique(g.neighbors(u)):
                 return False  # a heavier simplicial clique mate forbids the transfer
-        keep = tuple(u for u in nbrs if g.weight(u) > wv)
-        self._push_record(FoldRecord("isolated_weight_transfer", wv, (v,), guard=keep))
         for u in removed:
             self.remove_vertex(u)
-        self.remove_vertex(v)
-        for x in keep:
-            self.set_weight(x, g.weight(x) - wv)
+        self.fold([(u,) for u in nbrs if g.weight(u) > wv], (v,), "isolated_weight_transfer")
         return True
 
     def _try_weighted_twin(self, v: int) -> bool:
@@ -637,7 +622,7 @@ class ReductionEngine:
             self.include(pair, "weighted_twin")
             return True
         if w_twins > w_nbrs - min(g.weight(x) for x in nbrs):
-            self.fold(nbrs, pair, "weighted_twin")
+            self.fold((nbrs,), pair, "weighted_twin")
             return True
         return False
 
@@ -654,7 +639,7 @@ class ReductionEngine:
             return False
         if not self._is_independent(nbrs):
             return False
-        self.fold(nbrs, (v,), "neighborhood_folding")
+        self.fold((nbrs,), (v,), "neighborhood_folding")
         return True
 
     def _try_neighbor_removal_meta(self, v: int) -> bool:

@@ -167,6 +167,8 @@ def test_lp_prune_test_through_edits_and_rollbacks(case, variant, data):
     # Early-stopped flows carried as warm starts across includes, excludes,
     # weight cuts, reduces and rollbacks, and the full variant's idle-mark
     # shortcut, decide every test like the exact LP of the graph as it stands.
+    # A cut edits the graph behind the engine's queues: only lp_prunes is
+    # checked, and it reads the graph.
     g, shift = case
     g = _shifted(g, shift)
     eng = ReductionEngine(g, variant=variant)
@@ -178,7 +180,7 @@ def test_lp_prune_test_through_edits_and_rollbacks(case, variant, data):
         if op in ("include", "exclude", "cut") and alive:
             v = data.draw(st.sampled_from(alive))
             if op == "cut":
-                eng.set_weight(v, (g.weight(v) + 1) // 2)
+                g.set_weight(v, (g.weight(v) + 1) // 2)
             else:
                 eng.include((v,)) if op == "include" else eng.exclude_vertex(v)
         elif op == "reduce":

@@ -54,13 +54,9 @@ class _EditOrder:
         self.edits.append(("remove", v))
         super().remove_vertex(v)
 
-    def set_weight(self, v, w):
-        self.edits.append(("weight", v, w))
-        super().set_weight(v, w)
-
-    def fold(self, fold_in, out, rule):
-        self.edits.append(("fold", tuple(fold_in), tuple(out)))
-        super().fold(fold_in, out, rule)
+    def fold(self, groups, out, rule):
+        self.edits.append(("fold", tuple(map(tuple, groups)), tuple(out)))
+        super().fold(groups, out, rule)
 
 
 class OrderedEngine(_EditOrder, ReductionEngine):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import mwis
 
 from helpers import copy_graph, gnm_graph, random_graph, structured_family, twin_gadget_graph
-from mwis import (ParseError, ReductionEngine, WeightedGraph, brute_force_mwis,
+from mwis import (FoldRecord, ParseError, ReductionEngine, WeightedGraph, brute_force_mwis,
                   lift_solution, reduce_to_kernel)
 from mwis import graph_io
 from mwis.cli import main
@@ -123,7 +123,7 @@ def test_lifting_sidecar_round_trip():
     original = copy_graph(g)
     kr = reduce_to_kernel(g)
     assert kr.kernel.n_alive > 0
-    assert any(r.introduced is not None for r in kr.stack)
+    assert any(r.introduced for r in kr.stack)
     kernel_map = sorted(kr.kernel.alive_vertices())
     buf = io.StringIO()
     graph_io.write_lifting(kr.offset, kernel_map, kr.stack, buf)
@@ -143,8 +143,9 @@ def test_lifting_sidecar_round_trip():
 
 
 # Random graphs of mixed density fold and force; the twin gadgets add the
-# twin records they seldom make.  No kernelization here makes a transfer
-# record: test_documented_output_bytes reads one back.
+# twin records they seldom make.  No kernelization makes a fold of more than
+# one group: the tests after test_each_rule_writes_its_sidecar_record read
+# such folds back.
 kernel_inputs = (
     st.builds(random_graph, st.integers(0, 2**32), st.integers(1, 18),
               st.sampled_from([0.1, 0.2, 0.35, 0.6]), st.sampled_from([4, 200]))
@@ -185,7 +186,15 @@ SIDECAR_HEAD = "% lifting sidecar\noffset 5\nmap 1 2\n"  # the bad line comes fo
     ("rec fold r introduced=2 in=1 out=- offset=0 forced=1", "fold record has no field 'forced'"),
     ("rec include r forced=1 forced=2 consumed=1 offset=0", "a record field is given twice"),
     ("rec include r forced=1 consumed=1 offset=0 offset=0", "a record field is given twice"),
-    ("rec transfer r forced=1 guard=- offset=0", "a transfer record needs a guard"),
+    # the weight transfer's record of older versions; it is a fold today
+    ("rec transfer r forced=1 guard=3 offset=4", "unknown record kind 'transfer'"),
+    # a fold has one group per introduced id, at least one, and no group empty
+    ("rec fold r introduced=4 in=1;2 out=3 offset=0",
+     "a fold record needs one group per introduced id"),
+    ("rec fold r introduced=- in=1 out=2 offset=0",
+     "a fold record needs one group per introduced id"),
+    ("rec fold r introduced=4,5,6 in=1;;2 out=3 offset=0", "malformed sidecar line"),
+    ("rec fold r introduced=4,5 in=1;- out=3 offset=0", "malformed sidecar line"),
     ("offset 6", "second offset line"),
     # a record as older versions wrote it, with the vertices it removed
     ("rec include r forced=1 consumed=1 offset=0", "include record has no field 'consumed'"),
@@ -236,14 +245,14 @@ def test_sidecar_reader_needs_an_offset_line(tmp_path, capsys):
     assert err == "error: the sidecar has no offset line\n"
 
 
-# The documented bytes: a sidecar holding one record of each kind, and the
+# The documented bytes: a sidecar holding records of each kind, and the
 # record of every record-printing command on one small graph.
 SIDECAR_OF_EACH_KIND = (
     "offset 12\n"
-    "map 1 8\n"
-    "rec transfer isolated_weight_transfer forced=1 guard=3 offset=4\n"
+    "map 1 9\n"
+    "rec fold isolated_weight_transfer introduced=8 in=3 out=1 offset=4\n"
     "rec include neighborhood_removal forced=4 offset=5\n"
-    "rec fold neighborhood_folding introduced=8 in=5,7 out=6 offset=3\n")
+    "rec fold neighborhood_folding introduced=9 in=5,7 out=6 offset=3\n")
 
 SMALL_GRAPH = ("11 18 10\n43 3 4 7 9 10 11\n108 7 10\n177 1 5 7\n108 1 6 7 9 11\n"
                "163 3\n73 4 7 10\n123 1 2 3 4 6\n56\n122 1 4 10 11\n132 1 2 6 9\n"
@@ -316,6 +325,50 @@ def test_each_rule_writes_its_sidecar_record(rule):
     assert buf.getvalue() == f"offset {eng.offset}\n{line}\n"
     buf.seek(0)
     assert graph_io.read_lifting(buf) == (eng.offset, [], tuple(eng.records))
+
+
+def test_a_fold_of_three_groups_reads_back_and_lifts_each_choice():
+    # Fresh vertices 7, 8 and 9 stand for the groups {1, 2}, {3} and
+    # {4, 5, 6}; a solution with none of them takes out = {0}.
+    rec = FoldRecord("r", 5, (0,), (7, 8, 9), ((1, 2), (3,), (4, 5, 6)))
+    buf = io.StringIO()
+    graph_io.write_lifting(5, [10], [rec], buf)
+    assert buf.getvalue() == ("offset 5\nmap 1 11\n"
+                              "rec fold r introduced=8,9,10 in=2,3;4;5,6,7 out=1 offset=5\n")
+    buf.seek(0)
+    offset, mapping, records = graph_io.read_lifting(buf)
+    assert (offset, mapping, records) == (5, [10], (rec,))
+    assert lift_solution([10], records) == {0, 10}
+    for vid, group in zip(rec.introduced, rec.fold_in):
+        assert lift_solution([vid, 10], records) == {*group, 10}
+
+
+# The isolated weight transfer at vertex 1 of this graph (1-based ids): its
+# clique mates 2 and 3 are heavier, so each becomes a fresh vertex, 7 and 8,
+# and its mate 4 is lighter, so it goes.  A reduce removes 4 by domination
+# first, and then the transfer cannot fire, so `mwis reduce` never writes
+# this fold of two groups; the workflow's console-script step lifts kernel
+# solutions through this sidecar.
+TRANSFER_GRAPH = "6 8 10\n2 2 3 4\n5 1 3 4 5\n4 1 2 4 6\n1 1 2 3\n3 2\n3 3\n"
+TRANSFER_SIDECAR = (
+    "offset 2\nmap 1 5\nmap 2 6\nmap 3 7\nmap 4 8\n"
+    "rec fold isolated_weight_transfer introduced=7,8 in=2;3 out=1 offset=2\n")
+
+
+@pytest.mark.parametrize("ksol, lifted", [("1 2", [1, 5, 6]), ("2 3", [2, 6]), ("1 4", [3, 5])])
+def test_a_two_mate_transfer_lifts_through_its_sidecar(ksol, lifted, tmp_path, capsys):
+    g = graph_io.parse_graph_text(TRANSFER_GRAPH)
+    eng = ReductionEngine(g)
+    assert eng._try_isolated_weight_transfer(0)
+    buf = io.StringIO()
+    graph_io.write_lifting(eng.offset, sorted(g.alive_vertices()), eng.records, buf)
+    assert buf.getvalue() == TRANSFER_SIDECAR
+    gpath, lpath, kpath = tmp_path / "g.graph", tmp_path / "k.side", tmp_path / "k.txt"
+    gpath.write_text(TRANSFER_GRAPH)
+    lpath.write_text(TRANSFER_SIDECAR)
+    kpath.write_text(ksol + "\n")
+    assert main(["lift", str(gpath), str(kpath), "--lift", str(lpath)]) == 0
+    assert json.loads(capsys.readouterr().out)["solution"] == lifted
 
 
 def test_documented_output_bytes(tmp_path, capsys):

@@ -204,8 +204,9 @@ def test_weight_transfer_example():
     eng = ReductionEngine(g)
     assert eng._try_isolated_weight_transfer(0)
     assert eng.offset == 4
-    assert not g.is_alive(0) and not g.is_alive(1)
-    assert g.weight(2) == 2
+    assert not any(g.is_alive(v) for v in (0, 1, 2))
+    # the heavier mate 2 became the fresh vertex 4, lighter by w(0)
+    assert g.weight(4) == 2 and g.neighbors(4) == [3]
     check_alpha_preserved(WeightedGraph([4, 3, 6, 5],
                                         [(0, 1), (0, 2), (1, 2), (2, 3)]), eng)
 
@@ -214,8 +215,8 @@ def test_weight_transfer_lift_guard():
     g = WeightedGraph([4, 3, 6, 5], [(0, 1), (0, 2), (1, 2), (2, 3)])
     eng = ReductionEngine(g)
     eng._try_isolated_weight_transfer(0)
-    # kernel = {2: w2, 3: w5}; picking 2 blocks v, picking 3 releases it
-    assert lift_solution((2,), eng.records) == {2}
+    # kernel = {4: w2, 3: w5}; picking the fresh 4 takes 2, picking 3 takes v
+    assert lift_solution((4,), eng.records) == {2}
     assert lift_solution((3,), eng.records) == {0, 3}
 
 
@@ -583,16 +584,18 @@ def test_screens_reject_only_where_the_rule_cannot_fire():
 
 
 def test_a_refused_fold_changes_nothing():
-    # The fresh vertex would weigh w(0) - w(1) = -2: the graph refuses it
-    # before the group goes, so the graph, its log, the records, the offset
-    # and the queues stay as they were.
-    g = WeightedGraph([3, 5, 1], [(0, 1), (1, 2)])
-    eng = ReductionEngine(g)
-    before, queues = g.canonical_serialization(), deepcopy(eng._queues)
-    with pytest.raises(GraphError):
-        eng.fold((0,), (1,), "x")
-    assert g.canonical_serialization() == before and g.checkpoint() == 0
-    assert eng.records == [] and eng.offset == 0 and eng._queues == queues
+    # A fresh vertex would weigh w(group) - w(1) < 1: with one group,
+    # 3 - 5 = -2; with two, 6 - 5 = 1 and then 1 - 5 = -4.  The fold is
+    # refused before its first edit, so the graph, its log, the records, the
+    # offset and the queues stay as they were.
+    for weights, groups in (([3, 5, 1], ((0,),)), ([6, 5, 1], ((0,), (2,)))):
+        g = WeightedGraph(weights, [(0, 1), (1, 2)])
+        eng = ReductionEngine(g)
+        before, queues = g.canonical_serialization(), deepcopy(eng._queues)
+        with pytest.raises(GraphError):
+            eng.fold(groups, (1,), "x")
+        assert g.canonical_serialization() == before and g.checkpoint() == 0
+        assert eng.records == [] and eng.offset == 0 and eng._queues == queues
 
 
 def test_dense_branch_reduce_leaves_no_queue_filled():
